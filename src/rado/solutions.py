@@ -13,16 +13,21 @@ the residual and are not bounded by n.
 from __future__ import annotations
 
 import itertools
+import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, isqrt
+from math import comb, factorial, inf, isqrt
 
 from .equations import Equation
 
 OVERFLOW_LIMIT = 2**62
 MAX_SOLUTIONS = 1_000_000
 MATERIALIZE_CAP = 5_000_000
+CLOCK_CHECK_NODES = 4096
+# a streamed side's last slot is solved per total, not scanned, when the
+# materialized side has at most this many totals
+EXACT_PROBE_TOTALS = 4
 
 
 class OverflowGuardError(ValueError):
@@ -35,6 +40,10 @@ class SolutionCapError(RuntimeError):
 
 class EnumerationBudgetExceeded(RuntimeError):
     """Internal: canonical scan aborted after visiting too many nodes."""
+
+
+class EnumerationTimeout(RuntimeError):
+    """Internal: canonical scan aborted at its deadline."""
 
 
 def check_overflow(eq: Equation, n: int) -> None:
@@ -87,9 +96,12 @@ class EdgeSet:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Group:
-    """Interchangeable slots: one side, equal coefficient, same free status."""
+    """Interchangeable slots: one side, equal coefficient, same free status.
+
+    Compared and hashed by identity: an equation's groups come from the
+    cached _plan."""
 
     coefficient: int
     names: tuple[str, ...]
@@ -112,39 +124,139 @@ def _side_groups(eq: Equation, which: str) -> tuple[_Group, ...]:
     )
 
 
-def _est_reps(groups: tuple[_Group, ...], n: int) -> int:
+class _Scan:
+    """Value ranges of one enumeration pass.
+
+    Every constrained group scans [1, bound[g]]; the pinned group's last
+    (largest) slot is fixed at its bound.  powers maps a coefficient to
+    [coefficient * v**degree for v in 0..n].
+    """
+
+    __slots__ = ("degree", "powers", "bound", "pinned")
+
+    def __init__(self, degree, powers, bound, pinned=None):
+        self.degree = degree
+        self.powers = powers
+        self.bound = bound
+        self.pinned = pinned
+
+
+def _scans(groups: tuple[_Group, ...], n: int, degree: int, closing: bool):
+    """The passes that enumerate [1, n], or with closing only the
+    solutions holding n: pass p pins constrained group p to n and bounds
+    the groups before it by n-1, so each solution is produced once, by the
+    first group (lhs then rhs) that holds n."""
+    constrained = [g for g in groups if not g.is_free]
+    powers = {}
+    for g in constrained:
+        if g.coefficient not in powers:
+            powers[g.coefficient] = [g.coefficient * v**degree for v in range(n + 1)]
+    if not closing:
+        return [_Scan(degree, powers, dict.fromkeys(constrained, n))]
+    return [
+        _Scan(degree, powers,
+              {g: n - 1 if j < p else n for j, g in enumerate(constrained)}, pivot)
+        for p, pivot in enumerate(constrained)
+    ]
+
+
+def _tail_min(groups, scan: _Scan | None = None) -> list[int]:
+    """tail_min[i]: the least total of groups[i:], every slot at 1 except
+    a pinned slot, which sits at its bound."""
+    tail_min = [0] * (len(groups) + 1)
+    for i in range(len(groups) - 1, -1, -1):
+        g = groups[i]
+        least = g.coefficient * g.size
+        if scan is not None and g == scan.pinned:
+            least += scan.powers[g.coefficient][scan.bound[g]] - g.coefficient
+        tail_min[i] = tail_min[i + 1] + least
+    return tail_min
+
+
+def _est_reps(groups: tuple[_Group, ...], scan: _Scan) -> int:
     est = 1
     for g in groups:
-        est *= comb(n + g.size - 1, g.size)
+        scanned = g.size - (g == scan.pinned)
+        est *= comb(scan.bound[g] + scanned - 1, scanned)
     return est
 
 
-class _Budget:
-    __slots__ = ("left",)
+def _floor_root(x, degree):
+    return isqrt(x) if degree == 2 else x
 
-    def __init__(self, nodes: int | None):
-        self.left = nodes
+
+def _solve_last(coef, degree, remaining, lo):
+    """The value v >= lo with coef * v**degree == remaining, or None."""
+    if remaining < coef or remaining % coef:
+        return None
+    target = remaining // coef
+    v = _floor_root(target, degree)
+    if v < lo or v**degree != target:
+        return None
+    return v
+
+
+def _solve_pair(pw, coef, degree, remaining, lo, bound, budget):
+    """Every (v, w) with lo <= v <= w <= bound and pw[v] + pw[w] equal to
+    remaining, walking in from both ends of the increasing table pw."""
+    pairs = []
+    if remaining <= pw[lo]:
+        return pairs
+    v = lo
+    w = min(bound, _floor_root((remaining - pw[lo]) // coef, degree))
+    budget.spend(max(w - v, 0) + 1)
+    while v <= w:
+        total = pw[v] + pw[w]
+        if total < remaining:
+            v += 1
+        elif total > remaining:
+            w -= 1
+        else:
+            pairs.append((v, w))
+            v += 1
+            w -= 1
+    return pairs
+
+
+class _Budget:
+    """Node allowance of one enumeration, and optionally a deadline.
+
+    With a deadline the allowance is handed out CLOCK_CHECK_NODES at a
+    time and the clock is read once per handout, so the per-node cost is
+    the same with or without one.
+    """
+
+    __slots__ = ("left", "reserve", "deadline")
+
+    def __init__(self, nodes: int | None, deadline: float | None = None):
+        self.deadline = deadline
+        self.left, self.reserve = nodes, 0
+        if deadline is not None:
+            self.left, self.reserve = 0, inf if nodes is None else nodes
 
     def spend(self, amount: int) -> None:
         if self.left is not None:
             self.left -= amount
             if self.left < 0:
-                raise EnumerationBudgetExceeded()
+                self._refill()
+
+    def _refill(self) -> None:
+        remaining = self.reserve + self.left
+        if remaining < 0:
+            raise EnumerationBudgetExceeded()
+        if time.monotonic() > self.deadline:
+            raise EnumerationTimeout()
+        self.left = min(CLOCK_CHECK_NODES, remaining)
+        self.reserve = remaining - self.left
 
 
-def _iter_side_reps(groups, degree, bound, cap, budget):
+def _iter_side_reps(groups, scan, cap, budget):
     """Yield (total, values) for every canonical assignment of one side.
 
     values is a tuple of per-group non-decreasing value tuples; total is
     the side's weighted power sum, always <= cap.
     """
-    mins = [g.coefficient * g.size for g in groups]  # every slot at value 1
-    tail_min = [0] * (len(groups) + 1)
-    for i in range(len(groups) - 1, -1, -1):
-        tail_min[i] = tail_min[i + 1] + mins[i]
-    powers = [
-        [g.coefficient * v**degree for v in range(bound + 1)] for g in groups
-    ]
+    tail_min = _tail_min(groups, scan)
 
     def rec(gi, partial, acc):
         if gi == len(groups):
@@ -152,21 +264,26 @@ def _iter_side_reps(groups, degree, bound, cap, budget):
             return
         g = groups[gi]
         later = tail_min[gi + 1]
-        pw = powers[gi]
+        pw = scan.powers[g.coefficient]
+        bound = scan.bound[g]
+        pin = g == scan.pinned
+        top = g.size - 1
 
         def fill(slot, lo, part, vals):
             budget.spend(1)
-            rest = g.size - slot - 1
-            if slot == g.size - 1:
-                v = lo
+            if slot == top:
+                v = bound if pin else lo
                 while v <= bound and part + pw[v] + later <= cap:
                     vals.append(v)
                     yield from rec(gi + 1, part + pw[v], acc + [tuple(vals)])
                     vals.pop()
                     v += 1
                 return
+            # slots slot..top all hold >= v, and a pinned top holds bound
+            mult = top - slot + 1 - pin
+            limit = cap - later - (pw[bound] if pin else 0)
             v = lo
-            while v <= bound and part + pw[v] * (rest + 1) + later <= cap:
+            while v <= bound and part + pw[v] * mult <= limit:
                 vals.append(v)
                 yield from fill(slot + 1, v, part + pw[v], vals)
                 vals.pop()
@@ -177,51 +294,66 @@ def _iter_side_reps(groups, degree, bound, cap, budget):
     yield from rec(0, 0, [])
 
 
-def _iter_matching_reps(groups, degree, bound, cap, probe, budget):
+def _iter_matching_reps(groups, scan, cap, probe, budget):
     """Stream one side's canonical assignments, yielding only those whose
     total appears in probe.  The innermost slot runs as a tight loop so the
-    scan cost stays close to raw arithmetic."""
-    mins = [g.coefficient * g.size for g in groups]
-    tail_min = [0] * (len(groups) + 1)
-    for i in range(len(groups) - 1, -1, -1):
-        tail_min[i] = tail_min[i + 1] + mins[i]
-    powers = [
-        [g.coefficient * v**degree for v in range(bound + 1)] for g in groups
-    ]
-
+    scan cost stays close to raw arithmetic; when probe holds only a few
+    totals it is solved for each of them instead."""
+    tail_min = _tail_min(groups, scan)
     glast = len(groups) - 1
+    totals = sorted(probe) if len(probe) <= EXACT_PROBE_TOTALS else None
 
     def rec(gi, partial, acc):
         g = groups[gi]
         later = tail_min[gi + 1]
-        pw = powers[gi]
+        pw = scan.powers[g.coefficient]
+        bound = scan.bound[g]
+        pin = g == scan.pinned
+        top = g.size - 1
 
         def fill(slot, lo, part, vals):
-            if gi == glast and slot == g.size - 1:
-                # innermost slot: probe the other side's totals directly
-                v = lo
-                limit = cap - later
-                count = 0
-                while v <= bound:
-                    t = part + pw[v]
-                    if t > limit:
-                        break
-                    if t in probe:
-                        yield t, acc + (tuple(vals + [v]),)
-                    v += 1
-                    count += 1
-                budget.spend(count + 1)
+            if gi == glast and totals is not None and slot >= top - 1 + pin:
+                # few totals: solve the slots left for each of them
+                coef, degree = g.coefficient, scan.degree
+                for t in totals:
+                    if slot == top:
+                        v = _solve_last(coef, degree, t - part, bound if pin else lo)
+                        found = [(v,)] if v is not None and v <= bound else []
+                    else:
+                        found = _solve_pair(pw, coef, degree, t - part, lo, bound, budget)
+                    for last in found:
+                        yield t, acc + (tuple(vals) + last,)
+                budget.spend(len(totals) + 1)
                 return
-            budget.spend(1)
-            rest = g.size - slot - 1
-            if slot == g.size - 1:
+            if slot == top:
+                if pin:
+                    lo = bound
+                if gi == glast:
+                    # innermost slot: probe the other side's totals directly
+                    v = lo
+                    limit = cap - later
+                    count = 0
+                    while v <= bound:
+                        t = part + pw[v]
+                        if t > limit:
+                            break
+                        if t in probe:
+                            yield t, acc + (tuple(vals + [v]),)
+                        v += 1
+                        count += 1
+                    budget.spend(count + 1)
+                    return
+                budget.spend(1)
                 v = lo
                 while v <= bound and part + pw[v] + later <= cap:
                     yield from rec(gi + 1, part + pw[v], acc + (tuple(vals + [v]),))
                     v += 1
                 return
+            budget.spend(1)
+            mult = top - slot + 1 - pin
+            limit = cap - later - (pw[bound] if pin else 0)
             v = lo
-            while v <= bound and part + pw[v] * (rest + 1) + later <= cap:
+            while v <= bound and part + pw[v] * mult <= limit:
                 vals.append(v)
                 yield from fill(slot + 1, v, part + pw[v], vals)
                 vals.pop()
@@ -239,19 +371,7 @@ def _iter_free_exact(groups, degree, residual, budget):
     Values are unbounded above; the final slot is solved by exact integer
     root extraction instead of scanning.
     """
-    mins = [g.coefficient * g.size for g in groups]
-    tail_min = [0] * (len(groups) + 1)
-    for i in range(len(groups) - 1, -1, -1):
-        tail_min[i] = tail_min[i + 1] + mins[i]
-
-    def solve_last(coef, remaining, lo):
-        if remaining < coef or remaining % coef:
-            return None
-        target = remaining // coef
-        v = isqrt(target) if degree == 2 else target
-        if v < lo or v**degree != target:
-            return None
-        return v
+    tail_min = _tail_min(groups)
 
     def rec(gi, remaining, acc):
         budget.spend(1)
@@ -260,7 +380,7 @@ def _iter_free_exact(groups, degree, residual, budget):
 
         def fill(slot, lo, rem, vals):
             if last_group and slot == g.size - 1:
-                v = solve_last(g.coefficient, rem, lo)
+                v = _solve_last(g.coefficient, degree, rem, lo)
                 if v is not None:
                     yield acc + (tuple(vals + [v]),)
                 return
@@ -305,12 +425,30 @@ def _plan(eq: Equation):
     return lhs, rhs, free_side
 
 
-def _iter_reps(eq: Equation, n: int, node_budget: int | None = None):
-    """Yield every canonical solution representative within [1, n]."""
+def _iter_reps(
+    eq: Equation,
+    n: int,
+    node_budget: int | None = None,
+    closing: bool = False,
+    deadline: float | None = None,
+):
+    """Yield every canonical solution representative within [1, n]; with
+    closing, only those whose largest constrained value is n."""
     check_overflow(eq, n)
     lhs, rhs, free_side = _plan(eq)
-    budget = _Budget(node_budget)
+    budget = _Budget(node_budget, deadline)
     degree = eq.degree
+    scans = _scans(lhs + rhs, n, degree, closing)
+
+    def materialize(groups, scan, cap):
+        table: dict[int, list] = {}
+        count = 0
+        for total, vals in _iter_side_reps(groups, scan, cap, budget):
+            table.setdefault(total, []).append(vals)
+            count += 1
+            if count > MATERIALIZE_CAP:
+                raise SolutionCapError("equation too dense to enumerate")
+        return table
 
     if free_side is None:
         # a matching total must be reachable by both sides
@@ -318,23 +456,18 @@ def _iter_reps(eq: Equation, n: int, node_budget: int | None = None):
             sum(g.coefficient * g.size for g in side) * n**degree
             for side in (lhs, rhs)
         )
-        mat_lhs = _est_reps(lhs, n) <= _est_reps(rhs, n)
-        mat_groups, stream_groups = (lhs, rhs) if mat_lhs else (rhs, lhs)
-        table: dict[int, list] = {}
-        count = 0
-        for total, vals in _iter_side_reps(mat_groups, degree, n, cap, budget):
-            table.setdefault(total, []).append(vals)
-            count += 1
-            if count > MATERIALIZE_CAP:
-                raise SolutionCapError("equation too dense to enumerate")
-        for total, svals in _iter_matching_reps(
-            stream_groups, degree, n, cap, table, budget
-        ):
-            for mvals in table[total]:
-                if mat_lhs:
-                    yield _Rep(mvals, svals)
-                else:
-                    yield _Rep(svals, mvals)
+        for scan in scans:
+            mat_lhs = _est_reps(lhs, scan) <= _est_reps(rhs, scan)
+            mat_groups, stream_groups = (lhs, rhs) if mat_lhs else (rhs, lhs)
+            table = materialize(mat_groups, scan, cap)
+            for total, svals in _iter_matching_reps(
+                stream_groups, scan, cap, table, budget
+            ):
+                for mvals in table[total]:
+                    if mat_lhs:
+                        yield _Rep(mvals, svals)
+                    else:
+                        yield _Rep(svals, mvals)
         return
 
     # one side carries free variables: materialize the fully constrained side
@@ -344,15 +477,6 @@ def _iter_reps(eq: Equation, n: int, node_budget: int | None = None):
     f_free = tuple(g for g in f_groups if g.is_free)
     free_min = sum(g.coefficient * g.size for g in f_free)
     c_cap = sum(g.coefficient * n**degree * g.size for g in c_groups)
-
-    table = {}
-    count = 0
-    for total, vals in _iter_side_reps(c_groups, degree, n, c_cap, budget):
-        table.setdefault(total, []).append(vals)
-        count += 1
-        if count > MATERIALIZE_CAP:
-            raise SolutionCapError("equation too dense to enumerate")
-    totals = sorted(table)
 
     def assemble(cvals, fvals_constrained, fvals_free):
         # reassemble the free side's group tuple in _side_groups order
@@ -368,17 +492,19 @@ def _iter_reps(eq: Equation, n: int, node_budget: int | None = None):
         fv = tuple(out)
         return _Rep(fv, cvals) if free_side == "lhs" else _Rep(cvals, fv)
 
-    fc_cap = (totals[-1] - free_min) if totals else -1
-    for partial, fvals in _iter_side_reps(f_constrained, degree, n, fc_cap, budget):
-        lo = bisect_left(totals, partial + free_min)
-        for total in totals[lo:]:
-            for free_vals in _iter_free_exact(f_free, degree, total - partial, budget):
-                for cvals in table[total]:
-                    yield assemble(cvals, fvals, free_vals)
+    for scan in scans:
+        table = materialize(c_groups, scan, c_cap)
+        totals = sorted(table)
+        fc_cap = (totals[-1] - free_min) if totals else -1
+        for partial, fvals in _iter_side_reps(f_constrained, scan, fc_cap, budget):
+            lo = bisect_left(totals, partial + free_min)
+            for total in totals[lo:]:
+                for free_vals in _iter_free_exact(f_free, degree, total - partial, budget):
+                    for cvals in table[total]:
+                        yield assemble(cvals, fvals, free_vals)
 
 
-def _rep_constrained(eq: Equation, rep: _Rep) -> tuple[int, ...]:
-    lhs, rhs, _ = _plan(eq)
+def _rep_constrained(lhs, rhs, rep: _Rep) -> tuple[int, ...]:
     vals = []
     for groups, side_vals in ((lhs, rep.lhs), (rhs, rep.rhs)):
         for g, gv in zip(groups, side_vals):
@@ -402,7 +528,8 @@ def _rep_to_solution(eq: Equation, rep: _Rep) -> SolutionTuple:
 def _distinct_ok(eq: Equation, rep: _Rep) -> bool:
     if not eq.distinct_required:
         return True
-    vals = _rep_constrained(eq, rep)
+    lhs, rhs, _ = _plan(eq)
+    vals = _rep_constrained(lhs, rhs, rep)
     return len(set(vals)) == len(vals)
 
 
@@ -499,17 +626,27 @@ def build_hyperedges(
     minimize: bool = False,
     node_budget: int | None = None,
     edge_cap: int | None = None,
+    closing: bool = False,
+    deadline: float | None = None,
 ) -> EdgeSet:
-    """Deduplicated hyperedges (distinct constrained value sets) in [1, n].
+    """Deduplicated hyperedges (distinct constrained value sets) in [1, n],
+    sorted by (largest value, tuple).
 
-    With minimize=True edges that are supersets of other edges are removed;
-    a coloring violates the minimized set iff it violates the full one.
+    With closing=True only the edges whose largest value is n are returned;
+    concatenating them for m = 1..n gives the edges of [1, n] in order.
+    With minimize=True edges that are supersets of other returned edges
+    are removed; a coloring violates the minimized set iff it violates the
+    unminimized one.  Past node_budget or edge_cap the scan raises
+    EnumerationBudgetExceeded, past a time.monotonic() deadline
+    EnumerationTimeout.
     """
+    lhs, rhs, _ = _plan(eq)
     seen = set()
-    for rep in _iter_reps(eq, n, node_budget):
-        if not _distinct_ok(eq, rep):
+    for rep in _iter_reps(eq, n, node_budget, closing, deadline):
+        vals = _rep_constrained(lhs, rhs, rep)
+        if eq.distinct_required and len(set(vals)) != len(vals):
             continue
-        edge = tuple(sorted(set(_rep_constrained(eq, rep))))
+        edge = tuple(sorted(set(vals)))
         if edge not in seen:
             seen.add(edge)
             if edge_cap is not None and len(seen) > edge_cap:

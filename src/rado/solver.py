@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import itertools
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .equations import Equation
 from .solutions import (
     EnumerationBudgetExceeded,
+    EnumerationTimeout,
     build_hyperedges,
     check_overflow,
     dp_feasible,
@@ -444,45 +444,6 @@ def _dp_search_generic(eq, n, r, deadline) -> SearchOutcome:
         c_try = c + 1
 
 
-class _EdgeCache:
-    """Solutions enumerated once per doubling bound; edge prefixes by max
-    vertex serve every intermediate n (edge sets grow monotonically)."""
-
-    def __init__(self, eq: Equation):
-        self.eq = eq
-        self.bound = 0
-        self.edges: list[tuple[int, ...]] = []   # sorted by (max, tuple)
-        self.maxes: list[int] = []
-        self.failed_at: int | None = None
-
-    def edges_at(self, n: int) -> list | None:
-        if self.failed_at is not None and n >= self.failed_at:
-            return None
-        if n > self.bound:
-            target = max(2 * self.bound, n, 16)
-            es = self._try(target)
-            if es is None and target != n:
-                target = n
-                es = self._try(target)
-            if es is None:
-                self.failed_at = n
-                return None
-            self.bound = target
-            self.edges = list(es.edges)
-            self.maxes = [e[-1] for e in self.edges]
-        cut = bisect_right(self.maxes, n)
-        return self.edges[:cut]
-
-    def _try(self, bound):
-        try:
-            return build_hyperedges(
-                self.eq, bound,
-                node_budget=AUTO_NODE_BUDGET, edge_cap=AUTO_EDGE_CAP,
-            )
-        except EnumerationBudgetExceeded:
-            return None
-
-
 def compute_rado(
     eq: Equation, r: int, params: SearchParams | None = None
 ) -> RadoOutcome:
@@ -492,12 +453,16 @@ def compute_rado(
     Each new bound first tries extending the previous witness by each
     color in turn (only solutions closing at n can break, so the check is
     cheap); when no extension survives, a full search runs for that bound.
+    The edge list grows by the edges closing at each new n; auto moves to
+    the dp backend for good once [1, n] has more than AUTO_EDGE_CAP edges
+    or enumerating the closing ones exceeds AUTO_NODE_BUDGET.
     """
     params = params or SearchParams()
     _validate(1, r)
     deadline = time.monotonic() + params.time_budget
     bounds: list[BoundReport] = []
-    cache = _EdgeCache(eq) if params.backend in ("edge", "auto") else None
+    use_edges = params.backend in ("edge", "auto")
+    edges: list[tuple[int, ...]] = []     # every edge of [1, n], by (max, tuple)
 
     witness: Coloring | None = None
     n = 0
@@ -516,25 +481,38 @@ def compute_rado(
             witness = _trivial(n - 1, r)
 
         t0 = time.monotonic()
-        edges = cache.edges_at(n) if cache is not None else None
-        if params.backend == "edge" and edges is None:
-            raise SolverError(
-                f"edge backend refused at n={n}: more than {AUTO_EDGE_CAP} edges; "
-                "use backend 'dp' or 'auto'"
-            )
+        closing = None
+        if use_edges:
+            try:
+                closing = build_hyperedges(
+                    eq, n, closing=True, node_budget=AUTO_NODE_BUDGET,
+                    edge_cap=AUTO_EDGE_CAP - len(edges), deadline=deadline,
+                ).edges
+            except EnumerationTimeout:
+                return RadoOutcome(LOWER_BOUND, n - 1, witness, bounds)
+            except EnumerationBudgetExceeded:
+                if params.backend == "edge":
+                    raise SolverError(
+                        f"edge backend refused at n={n}: more than {AUTO_EDGE_CAP} "
+                        "edges; use backend 'dp' or 'auto'"
+                    ) from None
+                use_edges = False
+                edges = []
+            else:
+                edges.extend(closing)
 
-        extended = _try_extend(eq, witness, n, r, edges)
+        extended = _try_extend(eq, witness, n, r, closing)
         if extended is not None:
             witness = extended
             bounds.append(BoundReport(
-                n, COLORABLE, "edge" if edges is not None else "dp", True,
+                n, COLORABLE, "edge" if closing is not None else "dp", True,
                 0, 0, int((time.monotonic() - t0) * 1000),
             ))
             continue
 
         if time.monotonic() > deadline:
             return RadoOutcome(LOWER_BOUND, n - 1, witness, bounds)
-        if edges is not None:
+        if closing is not None:
             outcome = _edge_search(eq, n, r, edges, deadline)
         else:
             outcome = _dp_search(eq, n, r, deadline)
@@ -556,16 +534,18 @@ def _trivial(n: int, r: int) -> Coloring:
     return Coloring(n, r, (1,) * n)
 
 
-def _try_extend(eq, witness, n, r, edges):
-    """Extend a witness for [1, n-1] to [1, n] by recoloring only n."""
+def _try_extend(eq, witness, n, r, closing):
+    """Extend a witness for [1, n-1] to [1, n] by recoloring only n.
+
+    closing holds the edges whose largest value is n, or None on the dp
+    backend, which asks dp_feasible instead."""
     if witness is None or witness.n != n - 1:
         return None
-    if edges is not None:
-        new_edges = [e for e in edges if e[-1] == n]
+    if closing is not None:
         chi = (0,) + witness.colors
         for c in range(1, r + 1):
             ok = True
-            for e in new_edges:
+            for e in closing:
                 mono = True
                 for v in e:
                     cv = chi[v] if v < n else c

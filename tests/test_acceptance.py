@@ -25,6 +25,8 @@ from rado.solver import (
     oracle_colorable,
 )
 
+pytestmark = pytest.mark.slow
+
 TABLE_ROW = [105, 37, 23, 18, 20, 20, 15, 16, 20, 23, 17, 21, 26, 17, 23]  # k=3..17
 
 

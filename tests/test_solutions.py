@@ -160,6 +160,34 @@ def test_completeness_random_equations():
         assert as_pairs(enumerate_solutions(eq, n)) == naive_as_pairs(
             naive_solutions(eq, n)
         ), text
+        assert closing_prefix(eq, n) == build_hyperedges(eq, n).edges, text
+
+
+def closing_prefix(eq, n):
+    """The closing-at-m edge sets for m = 1..n, concatenated."""
+    return tuple(
+        e for m in range(1, n + 1) for e in build_hyperedges(eq, m, closing=True).edges
+    )
+
+
+def test_closing_edges_concatenate_to_one_shot():
+    cases = [
+        (parse_equation("x^2+y^2=z^2"), 40),
+        (parse_equation("x^2+y^2+z^2=w^2"), 30),
+        (parse_equation("x1^2+x2^2+x3^2+x4^2=y1^2+y2^2+y3^2"), 12),
+        (parse_equation("x+y=z"), 25),
+        (parse_equation("x+2y=3z"), 25),
+        (parse_equation("3x^2+y^2=z^2+2w^2"), 20),
+        (parse_equation("9x^2+16y^2=~n^2"), 30),
+        (parse_equation("9x^2+16y^2=~n^2", distinct=True), 30),
+    ]
+    for eq, top in cases:
+        closing = [build_hyperedges(eq, m, closing=True).edges for m in range(1, top + 1)]
+        for m, edges in enumerate(closing, start=1):
+            assert all(e[-1] == m for e in edges), (eq.render(), m)
+        for n in range(1, top + 1):
+            concatenated = tuple(e for edges in closing[:n] for e in edges)
+            assert concatenated == build_hyperedges(eq, n).edges, (eq.render(), n)
 
 
 def test_edges_pythagorean_13():

@@ -2,8 +2,14 @@ import random
 
 import pytest
 
+from rado import solutions, solver
 from rado.equations import family_equation, parse_equation
-from rado.solutions import build_hyperedges
+from rado.solutions import (
+    CLOCK_CHECK_NODES,
+    EnumerationBudgetExceeded,
+    EnumerationTimeout,
+    build_hyperedges,
+)
 from rado.solver import (
     BUDGET_EXHAUSTED,
     COLORABLE,
@@ -13,7 +19,6 @@ from rado.solver import (
     Coloring,
     SearchParams,
     SolverError,
-    _EdgeCache,
     compute_rado,
     find_coloring,
     oracle_colorable,
@@ -79,6 +84,73 @@ def test_rado_budget_gives_lower_bound():
     assert out.kind == LOWER_BOUND
     assert out.witness.n == out.value
     assert_valid(family_equation(3), out.witness)
+
+
+class FakeClock:
+    """Stands in for the time module: monotonic() returns now, which only
+    the test moves, and counts its reads."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.reads = 0
+
+    def monotonic(self):
+        self.reads += 1
+        return self.now
+
+
+def test_enumeration_budget_reads_clock_once_per_chunk(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(solutions, "time", clock)
+    budget = solutions._Budget(None, deadline=10.0)
+    for _ in range(3 * CLOCK_CHECK_NODES):
+        budget.spend(1)
+    assert clock.reads == 3
+    clock.now = 11.0
+    with pytest.raises(EnumerationTimeout):
+        for _ in range(CLOCK_CHECK_NODES + 1):
+            budget.spend(1)
+
+    # the node allowance stays exact, with or without a deadline
+    clock.now = 0.0
+    for deadline in (None, 10.0):
+        budget = solutions._Budget(5, deadline)
+        for _ in range(5):
+            budget.spend(1)
+        with pytest.raises(EnumerationBudgetExceeded):
+            budget.spend(1)
+
+    # without a deadline the clock is never read
+    reads = clock.reads
+    budget = solutions._Budget(None)
+    for _ in range(3 * CLOCK_CHECK_NODES):
+        budget.spend(1)
+    assert clock.reads == reads
+
+
+def test_rado_deadline_covers_enumeration(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(solver, "time", clock)
+    monkeypatch.setattr(solutions, "time", clock)
+    enumerate_closing = solver.build_hyperedges
+    timed_out = []
+
+    def late(eq, n, **kwargs):
+        if n == 10:
+            clock.now = 1000.0     # the deadline passes inside this enumeration
+        try:
+            return enumerate_closing(eq, n, **kwargs)
+        except EnumerationTimeout:
+            timed_out.append(n)
+            raise
+
+    monkeypatch.setattr(solver, "build_hyperedges", late)
+    out = compute_rado(SCHUR, 3, SearchParams(time_budget=100))
+    assert timed_out == [10]
+    assert (out.kind, out.value) == (LOWER_BOUND, 9)
+    assert out.witness.n == 9
+    assert max(b.n for b in out.bounds) == 9
+    assert_valid(SCHUR, out.witness)
 
 
 def test_determinism():
@@ -197,14 +269,6 @@ def test_param_validation():
         SearchParams(backend="cdcl")
     with pytest.raises(SolverError):
         SearchParams(n_cap=0)
-
-
-def test_edge_cache_prefixes():
-    eq = parse_equation("x^2+y^2=z^2")
-    cache = _EdgeCache(eq)
-    for n in (5, 13, 26, 60, 41):
-        expect = list(build_hyperedges(eq, n).edges)
-        assert cache.edges_at(n) == expect
 
 
 def test_symmetry_breaking_soundness():
