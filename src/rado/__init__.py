@@ -12,7 +12,6 @@ from .equations import (
 from .solutions import (
     EdgeSet,
     OverflowGuardError,
-    PowerSumTable,
     SolutionCapError,
     SolutionTuple,
     build_hyperedges,
@@ -57,7 +56,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Equation", "EquationError", "ParseError", "Term",
     "family_equation", "parse_equation",
-    "EdgeSet", "OverflowGuardError", "PowerSumTable", "SolutionCapError",
+    "EdgeSet", "OverflowGuardError", "SolutionCapError",
     "SolutionTuple", "build_hyperedges", "dp_feasible", "edges_to_json",
     "enumerate_solutions", "iter_canonical_solutions",
     "Coloring", "RadoOutcome", "SearchOutcome", "SearchParams", "SearchStats",

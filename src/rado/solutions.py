@@ -681,35 +681,6 @@ def edges_to_json(eq: Equation, edge_set: EdgeSet) -> dict:
     }
 
 
-class PowerSumTable:
-    """Reachability of weighted power sums: table[t] has bit s set iff some
-    t values from the pool (repetition allowed) produce weighted sum s using
-    the first t slot coefficients."""
-
-    def __init__(self, masks: list[int], max_sum: int):
-        self.masks = masks
-        self.max_sum = max_sum
-
-    @classmethod
-    def build(cls, coefficients, degree, values, max_sum) -> "PowerSumTable":
-        capmask = (1 << (max_sum + 1)) - 1
-        masks = [1]
-        for coef in coefficients:
-            prev = masks[-1]
-            acc = 0
-            for v in values:
-                w = coef * v**degree
-                if w <= max_sum:
-                    acc |= prev << w
-            masks.append(acc & capmask)
-        return cls(masks, max_sum)
-
-    def reachable(self, t: int, s: int) -> bool:
-        if not (0 <= t < len(self.masks)) or s < 0 or s > self.max_sum:
-            return False
-        return bool(self.masks[t] >> s & 1)
-
-
 def dp_feasible(eq: Equation, class_values, pivot: int) -> bool:
     """True iff some solution uses only class_values for its constrained
     variables with maximum value exactly pivot (repetition allowed unless

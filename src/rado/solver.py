@@ -3,19 +3,31 @@
 Two backends decide colorability of [1, n]:
 
 * edge: backtracking over vertices in ascending order with per-edge
-  counters and unit propagation (an edge with one uncolored vertex whose
-  colored vertices share color c removes c from that vertex's domain).
-  At each vertex the viable colors are tried lowest-threat first, where a
-  color's threat count is the number of incident edges it would leave one
-  monochromatic step from completion; sparse instances like Pythagorean
-  triples are intractable under naive first-fit but close in a few
-  thousand nodes under this ordering.
+  counters and unit propagation to a fixpoint.  An edge with one
+  uncolored vertex whose colored vertices share color c removes c from
+  that vertex's domain; a vertex left with one viable color is colored
+  with it at once and its edges are processed in turn, until nothing is
+  forced.  Only then is the next decision made, at the lowest uncolored
+  vertex.  At each decision the viable colors are tried lowest-threat
+  first, where a color's threat count is the number of incident edges it
+  would leave one monochromatic step from completion; sparse instances
+  like Pythagorean triples are intractable under naive first-fit but
+  close in a few thousand nodes under this ordering.  Here `nodes`
+  counts decisions tried (forced colorings are not nodes) and
+  `propagations` counts colors removed from a domain.
 * dp: assigns 1..n in ascending order and rejects a color the moment the
   color class closes a solution whose maximum value is the new vertex,
   detected by power-sum reachability masks extended incrementally.
 
 Both break color symmetry the same way: color c+1 may first appear only
-after color c has.  Chronological backtracking only; no learning.
+after color c has.  In the edge search a decision may use one color
+more than any colored vertex, forced ones included; counting forced
+vertices can only raise that limit, so the canonical coloring is never
+pruned.  Chronological backtracking only; no learning.
+
+The edge search reads the clock at every decision, the dp fast path
+every CLOCK_CHECK_NODES nodes, and the generic dp search, whose node is
+a dp_feasible call, at every node.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ from dataclasses import dataclass, field
 
 from .equations import Equation
 from .solutions import (
+    CLOCK_CHECK_NODES,
     EnumerationBudgetExceeded,
     EnumerationTimeout,
     build_hyperedges,
@@ -46,7 +59,6 @@ LOWER_BOUND = "lower-bound"
 AUTO_EDGE_CAP = 20_000
 EDGE_BACKEND_CAP = 1_000_000
 AUTO_NODE_BUDGET = 30_000_000
-BUDGET_CHECK_MASK = (1 << 16) - 1
 ORACLE_CAP = 10**8
 
 
@@ -70,9 +82,6 @@ class Coloring:
 
     def color_of(self, v: int) -> int:
         return self.colors[v - 1]
-
-    def color_class(self, c: int) -> list[int]:
-        return [v for v in range(1, self.n + 1) if self.colors[v - 1] == c]
 
 
 @dataclass
@@ -208,10 +217,15 @@ def _edge_search(eq, n, r, edges, deadline) -> SearchOutcome:
     counts = [[0] * (r + 1) for _ in range(m)]
     unc = esize[:]
 
-    def assign(v, c):
-        """Update edge counters for v=c; returns (ok, domain restore log)."""
+    def assign(v, c, restore, forced):
+        """Color v with c and update its edge counters.
+
+        Logs each domain change in restore and appends to forced every
+        vertex left with exactly one viable color.  Returns False if an
+        edge became monochromatic or a domain empty; the counters are
+        updated in full either way, so undo reverses them."""
         color[v] = c
-        restore = []
+        bit = 1 << (c - 1)
         ok = True
         for ei in incident[v]:
             cnt = counts[ei]
@@ -227,24 +241,42 @@ def _edge_search(eq, n, r, edges, deadline) -> SearchOutcome:
                     for w in edges[ei]:
                         if color[w] == 0:
                             dm = domain[w]
-                            bit = 1 << (c - 1)
                             if dm & bit:
                                 restore.append((w, dm))
-                                domain[w] = dm & ~bit
+                                dm &= ~bit
+                                domain[w] = dm
                                 stats.propagations += 1
-                                if domain[w] == 0:
+                                if dm == 0:
                                     ok = False
+                                elif not dm & (dm - 1):
+                                    forced.append(w)
                             break
-        return ok, restore
+        return ok
 
-    def unassign(v, restore):
-        c = color[v]
-        for ei in incident[v]:
-            counts[ei][c] -= 1
-            unc[ei] += 1
+    def place(v, c):
+        """Color v with c, then each vertex left with one viable color, in
+        the order they are forced, until nothing is forced or a conflict
+        arises.  Returns (ok, vertices colored, domain restore log)."""
+        placed = [v]
+        restore: list[tuple[int, int]] = []
+        ok = assign(v, c, restore, placed)
+        i = 1
+        while ok and i < len(placed):
+            w = placed[i]
+            i += 1
+            ok = assign(w, domain[w].bit_length(), restore, placed)
+        del placed[i:]
+        return ok, placed, restore
+
+    def undo(placed, restore):
+        for v in reversed(placed):
+            c = color[v]
+            for ei in incident[v]:
+                counts[ei][c] -= 1
+                unc[ei] += 1
+            color[v] = 0
         for w, dm in reversed(restore):
             domain[w] = dm
-        color[v] = 0
 
     def candidates(v, limit):
         """Viable colors, fewest created threats first (ties: lower color).
@@ -267,44 +299,47 @@ def _edge_search(eq, n, r, edges, deadline) -> SearchOutcome:
         scored.sort()
         return [c for _, c in scored]
 
-    stack: list[tuple[int, list, int, list, int]] = []
+    # one frame per decision: (position in order, candidates, next index,
+    # vertices colored under it, domain restore log, max_used before it)
+    stack: list[tuple[int, list, int, list, list, int]] = []
     pos = 0
     max_used = 0
     cand: list | None = None
     ci = 0
     while True:
-        if pos == len(order):
-            return result(COLORABLE, color)
-        v = order[pos]
         if cand is None:
-            cand = candidates(v, min(r, max_used + 1))
+            while pos < len(order) and color[order[pos]]:
+                pos += 1                  # colored by propagation
+            if pos == len(order):
+                return result(COLORABLE, color)
+            cand = candidates(order[pos], min(r, max_used + 1))
             ci = 0
+        v = order[pos]
         placed = False
         while ci < len(cand):
             c = cand[ci]
             ci += 1
             stats.nodes += 1
-            if not stats.nodes & BUDGET_CHECK_MASK and time.monotonic() > deadline:
+            if time.monotonic() > deadline:
                 return result(BUDGET_EXHAUSTED)
-            ok, restore = assign(v, c)
+            ok, colored, restore = place(v, c)
             if ok:
-                stack.append((v, cand, ci, restore, max_used))
+                stack.append((pos, cand, ci, colored, restore, max_used))
                 if len(stack) > stats.max_depth:
                     stats.max_depth = len(stack)
-                if c > max_used:
-                    max_used = c
-                pos += 1
+                for w in colored:
+                    if color[w] > max_used:
+                        max_used = color[w]
                 cand = None
                 placed = True
                 break
-            unassign(v, restore)
+            undo(colored, restore)
         if placed:
             continue
         if not stack:
             return result(UNCOLORABLE)
-        v, cand, ci, restore, max_used = stack.pop()
-        unassign(v, restore)
-        pos -= 1
+        pos, cand, ci, colored, restore, max_used = stack.pop()
+        undo(colored, restore)
 
 
 def _dp_fast(eq: Equation) -> bool:
@@ -370,7 +405,7 @@ def _dp_search_fast(eq, n, r, deadline) -> SearchOutcome:
         limit = min(r, max_used + 1)
         while c <= limit:
             stats.nodes += 1
-            if not stats.nodes & BUDGET_CHECK_MASK and time.monotonic() > deadline:
+            if not stats.nodes % CLOCK_CHECK_NODES and time.monotonic() > deadline:
                 return SearchOutcome(BUDGET_EXHAUSTED, None, stats, "dp")
             if closes_solution(pos, c):
                 stacks[c].pop()
@@ -416,7 +451,7 @@ def _dp_search_generic(eq, n, r, deadline) -> SearchOutcome:
         limit = min(r, max_used + 1)
         while c <= limit:
             stats.nodes += 1
-            if not stats.nodes & BUDGET_CHECK_MASK and time.monotonic() > deadline:
+            if time.monotonic() > deadline:       # a node is a dp_feasible call
                 return SearchOutcome(BUDGET_EXHAUSTED, None, stats, "dp")
             classes[c].append(pos)
             if dp_feasible(eq, classes[c], pos):
@@ -464,21 +499,20 @@ def compute_rado(
     use_edges = params.backend in ("edge", "auto")
     edges: list[tuple[int, ...]] = []     # every edge of [1, n], by (max, tuple)
 
-    witness: Coloring | None = None
+    colors: list[int] = []                # the witness: colors[v-1] is v's color
+    below_first_edge = True
     n = 0
     while True:
-        if n >= params.n_cap:
-            return RadoOutcome(LOWER_BOUND, n, witness or _trivial(n, r), bounds)
-        if time.monotonic() > deadline:
-            return RadoOutcome(LOWER_BOUND, n, witness or _trivial(n, r), bounds)
+        if n >= params.n_cap or time.monotonic() > deadline:
+            return _outcome(LOWER_BOUND, n, colors, r, bounds)
         n += 1
 
-        if witness is None:
-            # still below the first edge: [1, n] has a solution iff one
-            # closes at exactly n
+        if below_first_edge:
+            # [1, n] has a solution iff one closes at exactly n
             if not dp_feasible(eq, range(1, n + 1), n):
+                colors.append(1)
                 continue
-            witness = _trivial(n - 1, r)
+            below_first_edge = False
 
         t0 = time.monotonic()
         closing = None
@@ -489,7 +523,7 @@ def compute_rado(
                     edge_cap=AUTO_EDGE_CAP - len(edges), deadline=deadline,
                 ).edges
             except EnumerationTimeout:
-                return RadoOutcome(LOWER_BOUND, n - 1, witness, bounds)
+                return _outcome(LOWER_BOUND, n - 1, colors, r, bounds)
             except EnumerationBudgetExceeded:
                 if params.backend == "edge":
                     raise SolverError(
@@ -501,9 +535,9 @@ def compute_rado(
             else:
                 edges.extend(closing)
 
-        extended = _try_extend(eq, witness, n, r, closing)
-        if extended is not None:
-            witness = extended
+        c = _try_extend(eq, colors, n, r, closing)
+        if c is not None:
+            colors.append(c)
             bounds.append(BoundReport(
                 n, COLORABLE, "edge" if closing is not None else "dp", True,
                 0, 0, int((time.monotonic() - t0) * 1000),
@@ -511,7 +545,7 @@ def compute_rado(
             continue
 
         if time.monotonic() > deadline:
-            return RadoOutcome(LOWER_BOUND, n - 1, witness, bounds)
+            return _outcome(LOWER_BOUND, n - 1, colors, r, bounds)
         if closing is not None:
             outcome = _edge_search(eq, n, r, edges, deadline)
         else:
@@ -523,46 +557,42 @@ def compute_rado(
             outcome.stats.elapsed_ms,
         ))
         if outcome.verdict == COLORABLE:
-            witness = outcome.coloring
+            colors = list(outcome.coloring.colors)
         elif outcome.verdict == UNCOLORABLE:
-            return RadoOutcome(EXACT, n, witness, bounds)
+            return _outcome(EXACT, n, colors, r, bounds)
         else:
-            return RadoOutcome(LOWER_BOUND, n - 1, witness, bounds)
+            return _outcome(LOWER_BOUND, n - 1, colors, r, bounds)
 
 
-def _trivial(n: int, r: int) -> Coloring:
-    return Coloring(n, r, (1,) * n)
+def _outcome(kind, value, colors, r, bounds) -> RadoOutcome:
+    return RadoOutcome(kind, value, Coloring(len(colors), r, tuple(colors)), bounds)
 
 
-def _try_extend(eq, witness, n, r, closing):
-    """Extend a witness for [1, n-1] to [1, n] by recoloring only n.
+def _try_extend(eq, colors, n, r, closing):
+    """The color that extends the witness colors of [1, n-1] to n, or None.
 
     closing holds the edges whose largest value is n, or None on the dp
     backend, which asks dp_feasible instead."""
-    if witness is None or witness.n != n - 1:
-        return None
     if closing is not None:
-        chi = (0,) + witness.colors
         for c in range(1, r + 1):
             ok = True
             for e in closing:
                 mono = True
                 for v in e:
-                    cv = chi[v] if v < n else c
-                    if cv != c:
+                    if v < n and colors[v - 1] != c:
                         mono = False
                         break
                 if mono:
                     ok = False
                     break
             if ok:
-                return Coloring(n, r, witness.colors + (c,))
+                return c
         return None
     for c in range(1, r + 1):
-        cls = [v for v in range(1, n) if witness.colors[v - 1] == c]
+        cls = [v for v in range(1, n) if colors[v - 1] == c]
         cls.append(n)
         if not dp_feasible(eq, cls, n):
-            return Coloring(n, r, witness.colors + (c,))
+            return c
     return None
 
 

@@ -7,7 +7,6 @@ import pytest
 from rado.equations import parse_equation, family_equation
 from rado.solutions import (
     OverflowGuardError,
-    PowerSumTable,
     SolutionCapError,
     build_hyperedges,
     check_overflow,
@@ -305,21 +304,6 @@ def test_dp_feasible_free_variable():
         x, y = min(expected_any, key=max)
         piv = max(x, y)
         assert dp_feasible(eqd, {x, y}, piv)
-
-
-def test_power_sum_table_invariants():
-    table = PowerSumTable.build([1, 1, 1], 2, [1, 2, 3], 30)
-    assert table.reachable(0, 0)
-    assert not table.reachable(0, 5)
-    assert table.reachable(1, 4)
-    assert table.reachable(3, 9)       # 1+4+4
-    assert not table.reachable(3, 2)
-    # monotone under adding values to the pool
-    bigger = PowerSumTable.build([1, 1, 1], 2, [1, 2, 3, 4], 30)
-    for t in range(4):
-        for s in range(31):
-            if table.reachable(t, s):
-                assert bigger.reachable(t, s)
 
 
 def test_canonical_iteration_collapses_permutations():

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rado import solutions, solver
+from rado.certificate import VALID, Certificate, verify
 from rado.equations import family_equation, parse_equation
 from rado.solutions import (
     CLOCK_CHECK_NODES,
@@ -79,6 +81,16 @@ def test_budget_exhausted_verdict():
     assert out.coloring is None
 
 
+def test_propagation_colors_forced_vertices():
+    # coloring a vertex the moment it has one viable color: without that
+    # the scan reaches the conflicts late, and this search took 130,237 nodes
+    eq = family_equation(3)
+    out = find_coloring(eq, 73, 2, SearchParams(backend="edge"))
+    assert out.verdict == COLORABLE
+    assert out.stats.nodes <= 2000
+    assert_valid(eq, out.coloring)
+
+
 def test_rado_budget_gives_lower_bound():
     out = compute_rado(family_equation(3), 2, SearchParams(time_budget=0.5))
     assert out.kind == LOWER_BOUND
@@ -126,6 +138,40 @@ def test_enumeration_budget_reads_clock_once_per_chunk(monkeypatch):
     for _ in range(3 * CLOCK_CHECK_NODES):
         budget.spend(1)
     assert clock.reads == reads
+
+
+def clocked_stats(clock, expire_at):
+    """A SearchStats whose node counter moves clock past any deadline once
+    the search has tried expire_at nodes."""
+
+    class ClockedStats(solver.SearchStats):
+        @property
+        def nodes(self):
+            return self._nodes
+
+        @nodes.setter
+        def nodes(self, value):
+            self._nodes = value
+            if value >= expire_at:
+                clock.now = 1e9
+
+    return ClockedStats
+
+
+@pytest.mark.parametrize("backend, eq, n, interval", [
+    ("edge", family_equation(3), 105, 1),
+    ("dp", family_equation(3), 105, CLOCK_CHECK_NODES),       # fast path
+    ("dp", parse_equation("x^2+y^2+2z^2=w^2"), 60, 1),        # generic
+])
+def test_search_loops_stop_within_check_interval(monkeypatch, backend, eq, n, interval):
+    expire_at = 5 * interval + 37       # past several checks, not on one
+    clock = FakeClock()
+    monkeypatch.setattr(solver, "time", clock)
+    monkeypatch.setattr(solver, "SearchStats", clocked_stats(clock, expire_at))
+    out = find_coloring(eq, n, 2, SearchParams(backend=backend, time_budget=100))
+    assert out.backend == backend
+    assert out.verdict == BUDGET_EXHAUSTED
+    assert expire_at <= out.stats.nodes < expire_at + interval
 
 
 def test_rado_deadline_covers_enumeration(monkeypatch):
@@ -186,6 +232,30 @@ def test_backend_agreement_generic_dp():
         e = find_coloring(eq, n, 2, SearchParams(backend="edge"))
         d = find_coloring(eq, n, 2, SearchParams(backend="dp"))
         assert e.verdict == d.verdict, n
+
+
+@st.composite
+def small_equations(draw):
+    """3-4 variables, degree 1 or 2, coefficients 1-3, split into two sides."""
+    nvars = draw(st.integers(3, 4))
+    exp = "^2" if draw(st.sampled_from((1, 2))) == 2 else ""
+    cut = draw(st.integers(1, nvars - 1))
+    coefs = draw(st.lists(st.integers(1, 3), min_size=nvars, max_size=nvars))
+    terms = [f"{c if c > 1 else ''}v{i}{exp}" for i, c in enumerate(coefs)]
+    return "+".join(terms[:cut]) + "=" + "+".join(terms[cut:])
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(text=small_equations(), n=st.sampled_from(range(8, 31)), r=st.sampled_from((2, 3)))
+def test_edge_and_dp_agree(text, n, r):
+    # dp shares no search code with the edge backend, so it checks the
+    # edge verdict at sizes the exhaustive oracle cannot reach
+    eq = parse_equation(text)
+    edge = find_coloring(eq, n, r, SearchParams(backend="edge"))
+    dp = find_coloring(eq, n, r, SearchParams(backend="dp"))
+    assert edge.verdict == dp.verdict != BUDGET_EXHAUSTED
+    if edge.coloring is not None:
+        assert verify(Certificate.from_coloring(text, edge.coloring)).status == VALID
 
 
 def test_oracle_schur():
