@@ -17,7 +17,14 @@ Two backends decide colorability of [1, n]:
   `propagations` counts colors removed from a domain.
 * dp: assigns 1..n in ascending order and rejects a color the moment the
   color class closes a solution whose maximum value is the new vertex,
-  detected by power-sum reachability masks extended incrementally.
+  detected by power-sum reachability masks extended incrementally.  On
+  the fast path (one weight per side) it also forward-checks: after v
+  joins class c, c is struck from each later vertex that would close a
+  solution using itself once and the rest of the class, and a wiped-out
+  domain undoes the placement.  Here `nodes` counts colors tried (struck
+  colors are skipped and are not nodes) and `propagations` counts struck
+  colors.  The generic path, a dp_feasible call per node, does no
+  forward checking and reports 0 propagations.
 
 Both break color symmetry the same way: color c+1 may first appear only
 after color c has.  In the edge search a decision may use one color
@@ -27,7 +34,8 @@ pruned.  Chronological backtracking only; no learning.
 
 The edge search reads the clock at every decision, the dp fast path
 every CLOCK_CHECK_NODES nodes, and the generic dp search, whose node is
-a dp_feasible call, at every node.
+a dp_feasible call, at every node.  Enumeration reads it too, in
+find_coloring as in compute_rado.
 """
 
 from __future__ import annotations
@@ -150,7 +158,10 @@ def find_coloring(
     _validate(n, r)
     check_overflow(eq, n)
     deadline = time.monotonic() + params.time_budget
-    backend, edges = _resolve_backend(eq, n, params.backend)
+    try:
+        backend, edges = _resolve_backend(eq, n, params.backend, deadline)
+    except EnumerationTimeout:
+        return SearchOutcome(BUDGET_EXHAUSTED, None, SearchStats(), "edge")
     start = time.monotonic()
     if backend == "edge":
         outcome = _edge_search(eq, n, r, edges, deadline)
@@ -167,13 +178,17 @@ def _validate(n: int, r: int) -> None:
         raise SolverError(f"r must be >= 1, got {r}")
 
 
-def _resolve_backend(eq: Equation, n: int, requested: str):
-    """Pick the backend and, for the edge backend, build its edge list."""
+def _resolve_backend(eq: Equation, n: int, requested: str, deadline: float):
+    """Pick the backend and, for the edge backend, build its edge list.
+
+    Raises EnumerationTimeout if the deadline passes while enumerating."""
     if requested == "dp":
         return "dp", None
     if requested == "edge":
         try:
-            es = build_hyperedges(eq, n, edge_cap=EDGE_BACKEND_CAP)
+            es = build_hyperedges(
+                eq, n, edge_cap=EDGE_BACKEND_CAP, deadline=deadline
+            )
         except EnumerationBudgetExceeded:
             raise SolverError(
                 f"edge backend refused: more than {EDGE_BACKEND_CAP} edges; "
@@ -182,7 +197,8 @@ def _resolve_backend(eq: Equation, n: int, requested: str):
         return "edge", list(es.edges)
     try:
         es = build_hyperedges(
-            eq, n, node_budget=AUTO_NODE_BUDGET, edge_cap=AUTO_EDGE_CAP
+            eq, n, node_budget=AUTO_NODE_BUDGET, edge_cap=AUTO_EDGE_CAP,
+            deadline=deadline,
         )
         return "edge", list(es.edges)
     except EnumerationBudgetExceeded:
@@ -375,6 +391,7 @@ def _dp_search_fast(eq, n, r, deadline) -> SearchOutcome:
     stacks: list[list] = [[init] for _ in range(r + 1)]
 
     color = [0] * (n + 1)
+    domain = [(1 << r) - 1] * (n + 1)      # colors not yet struck, bit c-1
 
     def closes_solution(v, c):
         """Extend class c by v; push masks; True iff a solution with maximum
@@ -391,7 +408,35 @@ def _dp_search_fast(eq, n, r, deadline) -> SearchOutcome:
         b_r = (nr[q - 1] << wr[v]) & capmask
         return bool((b_l & nr[q]) | (nl[p] & b_r))
 
-    stack: list[tuple[int, int, int]] = []
+    def strike(v, c, restore):
+        """Strike c from each later vertex that would close a solution using
+        its own value once and the rest of class c, v now included.
+
+        Sound while v stays in c, since a class only grows until backtrack.
+        Logs each change in restore; False if a domain is wiped out."""
+        la, ra = stacks[c][-1]
+        a, a1 = la[p], la[p - 1]
+        b, b1 = ra[q], ra[q - 1]
+        bit = 1 << (c - 1)
+        for w in range(v + 1, n + 1):
+            dm = domain[w]
+            # w once on the left: (a1 << wl[w]) & b; on the right:
+            # a & (b1 << wr[w]); shifted right instead, for smaller ints
+            if dm & bit and ((b >> wl[w]) & a1 or (a >> wr[w]) & b1):
+                restore.append((w, dm))
+                domain[w] = dm = dm ^ bit
+                stats.propagations += 1
+                if not dm:
+                    return False
+        return True
+
+    def undo(restore):
+        for w, dm in reversed(restore):
+            domain[w] = dm
+
+    # one frame per placement: (vertex, color, max_used before it, the
+    # domain restore log of its strikes)
+    stack: list[tuple[int, int, int, list]] = []
     pos = 1
     c_try = 1
     max_used = 0
@@ -403,16 +448,22 @@ def _dp_search_fast(eq, n, r, deadline) -> SearchOutcome:
         placed = False
         c = c_try
         limit = min(r, max_used + 1)
+        dm = domain[pos]
         while c <= limit:
+            if not dm >> (c - 1) & 1:
+                c += 1                    # struck by an earlier placement
+                continue
             stats.nodes += 1
             if not stats.nodes % CLOCK_CHECK_NODES and time.monotonic() > deadline:
                 return SearchOutcome(BUDGET_EXHAUSTED, None, stats, "dp")
-            if closes_solution(pos, c):
+            restore: list[tuple[int, int]] = []
+            if closes_solution(pos, c) or not strike(pos, c, restore):
+                undo(restore)
                 stacks[c].pop()
                 c += 1
                 continue
             color[pos] = c
-            stack.append((pos, c, max_used))
+            stack.append((pos, c, max_used, restore))
             if len(stack) > stats.max_depth:
                 stats.max_depth = len(stack)
             if c > max_used:
@@ -425,8 +476,9 @@ def _dp_search_fast(eq, n, r, deadline) -> SearchOutcome:
             continue
         if not stack:
             return SearchOutcome(UNCOLORABLE, None, stats, "dp")
-        v, c, max_used = stack.pop()
+        v, c, max_used, restore = stack.pop()
         stacks[c].pop()
+        undo(restore)
         color[v] = 0
         pos = v
         c_try = c + 1

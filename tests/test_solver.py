@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rado import solutions, solver
 from rado.certificate import VALID, Certificate, verify
@@ -91,24 +91,43 @@ def test_propagation_colors_forced_vertices():
     assert_valid(eq, out.coloring)
 
 
-def test_rado_budget_gives_lower_bound():
-    out = compute_rado(family_equation(3), 2, SearchParams(time_budget=0.5))
-    assert out.kind == LOWER_BOUND
-    assert out.witness.n == out.value
-    assert_valid(family_equation(3), out.witness)
+def test_dp_forward_checking_prunes():
+    # striking a color from each later vertex that would close a solution
+    # in that class: without it this refutation took 179,832 nodes
+    eq = parse_equation("x1^2+x2^2+x3^2+x4^2+x5^2=y1^2+y2^2")
+    out = find_coloring(eq, 31, 3, SearchParams(backend="dp"))
+    assert out.verdict == UNCOLORABLE
+    assert out.stats.nodes <= 60_000
+    assert out.stats.propagations > 0
 
 
 class FakeClock:
-    """Stands in for the time module: monotonic() returns now, which only
-    the test moves, and counts its reads."""
+    """Stands in for the time module: monotonic() returns now, which the
+    test moves or which advances by step before every read, and counts
+    its reads."""
 
-    def __init__(self):
+    def __init__(self, step=0.0):
         self.now = 0.0
+        self.step = step
         self.reads = 0
 
     def monotonic(self):
         self.reads += 1
+        self.now += self.step
         return self.now
+
+
+def test_rado_budget_gives_lower_bound(monkeypatch):
+    # the whole run reads the clock about 30,000 times; at 1e-4 s a read
+    # the 0.5 s budget runs out after 5,000, whatever the host's speed
+    clock = FakeClock(step=1e-4)
+    monkeypatch.setattr(solver, "time", clock)
+    monkeypatch.setattr(solutions, "time", clock)
+    out = compute_rado(family_equation(3), 2, SearchParams(time_budget=0.5))
+    assert out.kind == LOWER_BOUND
+    assert out.value < 105
+    assert out.witness.n == out.value
+    assert_valid(family_equation(3), out.witness)
 
 
 def test_enumeration_budget_reads_clock_once_per_chunk(monkeypatch):
@@ -167,6 +186,7 @@ def test_search_loops_stop_within_check_interval(monkeypatch, backend, eq, n, in
     expire_at = 5 * interval + 37       # past several checks, not on one
     clock = FakeClock()
     monkeypatch.setattr(solver, "time", clock)
+    monkeypatch.setattr(solutions, "time", clock)
     monkeypatch.setattr(solver, "SearchStats", clocked_stats(clock, expire_at))
     out = find_coloring(eq, n, 2, SearchParams(backend=backend, time_budget=100))
     assert out.backend == backend
@@ -197,6 +217,32 @@ def test_rado_deadline_covers_enumeration(monkeypatch):
     assert out.witness.n == 9
     assert max(b.n for b in out.bounds) == 9
     assert_valid(SCHUR, out.witness)
+
+
+@pytest.mark.parametrize("backend", ["edge", "auto"])
+def test_find_coloring_deadline_covers_enumeration(monkeypatch, backend):
+    clock = FakeClock()
+    monkeypatch.setattr(solver, "time", clock)
+    monkeypatch.setattr(solutions, "time", clock)
+    enumerate_all = solver.build_hyperedges
+    timed_out = []
+
+    def late(eq, n, **kwargs):
+        clock.now = 1000.0         # the deadline passes inside this enumeration
+        try:
+            return enumerate_all(eq, n, **kwargs)
+        except EnumerationTimeout:
+            timed_out.append(n)
+            raise
+
+    monkeypatch.setattr(solver, "build_hyperedges", late)
+    out = find_coloring(
+        family_equation(3), 105, 2, SearchParams(backend=backend, time_budget=100)
+    )
+    assert timed_out == [105]
+    assert out.verdict == BUDGET_EXHAUSTED
+    assert out.coloring is None
+    assert out.stats.nodes == 0
 
 
 def test_determinism():
@@ -256,6 +302,45 @@ def test_edge_and_dp_agree(text, n, r):
     assert edge.verdict == dp.verdict != BUDGET_EXHAUSTED
     if edge.coloring is not None:
         assert verify(Certificate.from_coloring(text, edge.coloring)).status == VALID
+
+
+@st.composite
+def fast_path_equations(draw):
+    """p terms = q terms, p and q 1-5, one coefficient (1-3) per side,
+    degree 1 or 2: the equations the dp fast path takes."""
+    exp = "^2" if draw(st.sampled_from((1, 2))) == 2 else ""
+    sides = []
+    for name in "xy":
+        c = draw(st.integers(1, 3))
+        size = draw(st.integers(1, 5))
+        sides.append("+".join(
+            f"{c if c > 1 else ''}{name}{i}{exp}" for i in range(size)
+        ))
+    return "=".join(sides)
+
+
+# denser draws are skipped: the edge backend takes seconds to minutes on
+# them (test_dp_forward_checking_prunes covers one dense refutation)
+EDGE_REFERENCE_CAP = 2_000
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(text=fast_path_equations(), n=st.integers(6, 28), r=st.sampled_from((2, 3)))
+@example(text="x0=y0+y1", n=13, r=3)     # Schur S(3) = 13: the last colorable n
+def test_dp_fast_path_agrees_with_edge(text, n, r):
+    # forward checking may only prune colors that would close a solution;
+    # a wrong strike or a missed restore turns colorable into uncolorable
+    eq = parse_equation(text)
+    assert solver._dp_fast(eq)
+    try:
+        build_hyperedges(eq, n, edge_cap=EDGE_REFERENCE_CAP)
+    except EnumerationBudgetExceeded:
+        assume(False)
+    dp = find_coloring(eq, n, r, SearchParams(backend="dp"))
+    edge = find_coloring(eq, n, r, SearchParams(backend="edge"))
+    assert dp.verdict == edge.verdict != BUDGET_EXHAUSTED
+    if dp.coloring is not None:
+        assert verify(Certificate.from_coloring(text, dp.coloring)).status == VALID
 
 
 def test_oracle_schur():
