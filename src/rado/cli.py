@@ -20,6 +20,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 
 from .certificate import (
     INVALID,
@@ -375,21 +376,20 @@ def _table_row(k: int, r: int, cap: int, timeout: float) -> dict:
     }
 
 
-def _table_worker(job):
-    return _table_row(*job)
-
-
 def cmd_table(args) -> int:
     if not 2 <= args.min_k <= args.max_k:
         print("error: need 2 <= min-k <= max-k", file=sys.stderr)
         return 2
-    ks = list(range(args.min_k, args.max_k + 1))
-    jobs = [(k, args.r, args.cap, args.timeout_per_k) for k in ks]
+    if args.jobs < 1:
+        print("error: need --jobs >= 1", file=sys.stderr)
+        return 2
+    rows_args = (range(args.min_k, args.max_k + 1), repeat(args.r),
+                 repeat(args.cap), repeat(args.timeout_per_k))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_table_worker, jobs))
+            rows = list(pool.map(_table_row, *rows_args))
     else:
-        rows = [_table_worker(job) for job in jobs]
+        rows = list(map(_table_row, *rows_args))
     if args.json:
         print(json.dumps({
             "command": "table",

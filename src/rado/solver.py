@@ -1,41 +1,35 @@
 """Coloring search and the incremental Rado-number driver.
 
-Two backends decide colorability of [1, n]:
+One backtracking core, _backtrack, decides colorability of [1, n].  It
+scans the vertices in ascending order, skips those already colored, and
+at each other vertex tries the colors its backend offers; a color may
+first appear only after the one below it has, so a decision may use one
+color more than any colored vertex.  A node is a color tried, and the
+clock is read at every node.  Chronological backtracking; no learning.
 
-* edge: backtracking over vertices in ascending order with per-edge
-  counters and unit propagation to a fixpoint.  An edge with one
-  uncolored vertex whose colored vertices share color c removes c from
-  that vertex's domain; a vertex left with one viable color is colored
-  with it at once and its edges are processed in turn, until nothing is
-  forced.  Only then is the next decision made, at the lowest uncolored
-  vertex.  At each decision the viable colors are tried lowest-threat
-  first, where a color's threat count is the number of incident edges it
-  would leave one monochromatic step from completion; sparse instances
-  like Pythagorean triples are intractable under naive first-fit but
-  close in a few thousand nodes under this ordering.  Here `nodes`
-  counts decisions tried (forced colorings are not nodes) and
-  `propagations` counts colors removed from a domain.
-* dp: assigns 1..n in ascending order and rejects a color the moment the
-  color class closes a solution whose maximum value is the new vertex,
-  detected by power-sum reachability masks extended incrementally.  On
-  the fast path (one weight per side) it also forward-checks: after v
-  joins class c, c is struck from each later vertex that would close a
-  solution using itself once and the rest of the class, and a wiped-out
-  domain undoes the placement.  Here `nodes` counts colors tried (struck
-  colors are skipped and are not nodes) and `propagations` counts struck
-  colors.  The generic path, a dp_feasible call per node, does no
-  forward checking and reports 0 propagations.
+A backend supplies the check behind a placement:
 
-Both break color symmetry the same way: color c+1 may first appear only
-after color c has.  In the edge search a decision may use one color
-more than any colored vertex, forced ones included; counting forced
-vertices can only raise that limit, so the canonical coloring is never
-pruned.  Chronological backtracking only; no learning.
-
-The edge search reads the clock at every decision, the dp fast path
-every CLOCK_CHECK_NODES nodes, and the generic dp search, whose node is
-a dp_feasible call, at every node.  Enumeration reads it too, in
-find_coloring as in compute_rado.
+* edge: per-edge counters with unit propagation to a fixpoint.  An edge
+  with one uncolored vertex whose colored vertices share color c removes
+  c from that vertex's domain; a vertex left with one viable color is
+  colored with it at once and its edges are processed in turn, until
+  nothing is forced.  Forced colorings are not nodes, and they count
+  toward the first-appearance limit, which they can only raise.  Viable
+  colors are tried lowest-threat first, where a color's threat count is
+  the number of incident edges it would leave one monochromatic step
+  from completion; sparse instances like Pythagorean triples are
+  intractable under naive first-fit but close in a few thousand nodes
+  under this ordering.  `propagations` counts colors removed from a
+  domain.
+* dp: rejects a color the moment its class closes a solution whose
+  maximum value is the new vertex, decided by power-sum reachability
+  masks extended incrementally.  On the fast path (one weight per side)
+  it also forward-checks: after v joins class c, c is struck from each
+  later vertex that would close a solution using itself once and the
+  rest of the class, and a wiped-out domain rejects the placement.
+  Struck colors are not offered, so they are not nodes; `propagations`
+  counts them.  Other equations take one dp_feasible call per placement
+  and report 0 propagations.
 """
 
 from __future__ import annotations
@@ -46,7 +40,6 @@ from dataclasses import dataclass, field
 
 from .equations import Equation
 from .solutions import (
-    CLOCK_CHECK_NODES,
     EnumerationBudgetExceeded,
     EnumerationTimeout,
     build_hyperedges,
@@ -159,14 +152,11 @@ def find_coloring(
     check_overflow(eq, n)
     deadline = time.monotonic() + params.time_budget
     try:
-        backend, edges = _resolve_backend(eq, n, params.backend, deadline)
+        edges = _resolve_edges(eq, n, params.backend, deadline)
     except EnumerationTimeout:
         return SearchOutcome(BUDGET_EXHAUSTED, None, SearchStats(), "edge")
     start = time.monotonic()
-    if backend == "edge":
-        outcome = _edge_search(eq, n, r, edges, deadline)
-    else:
-        outcome = _dp_search(eq, n, r, deadline)
+    outcome = _search(eq, n, r, edges, deadline)
     outcome.stats.elapsed_ms = int((time.monotonic() - start) * 1000)
     return outcome
 
@@ -178,12 +168,12 @@ def _validate(n: int, r: int) -> None:
         raise SolverError(f"r must be >= 1, got {r}")
 
 
-def _resolve_backend(eq: Equation, n: int, requested: str, deadline: float):
-    """Pick the backend and, for the edge backend, build its edge list.
+def _resolve_edges(eq: Equation, n: int, requested: str, deadline: float):
+    """Pick the backend: the edge list for the edge backend, None for dp.
 
     Raises EnumerationTimeout if the deadline passes while enumerating."""
     if requested == "dp":
-        return "dp", None
+        return None
     if requested == "edge":
         try:
             es = build_hyperedges(
@@ -194,43 +184,100 @@ def _resolve_backend(eq: Equation, n: int, requested: str, deadline: float):
                 f"edge backend refused: more than {EDGE_BACKEND_CAP} edges; "
                 "use backend 'dp' or 'auto'"
             ) from None
-        return "edge", list(es.edges)
+        return list(es.edges)
     try:
         es = build_hyperedges(
             eq, n, node_budget=AUTO_NODE_BUDGET, edge_cap=AUTO_EDGE_CAP,
             deadline=deadline,
         )
-        return "edge", list(es.edges)
+        return list(es.edges)
     except EnumerationBudgetExceeded:
-        return "dp", None
+        return None
 
 
-def _edge_search(eq, n, r, edges, deadline) -> SearchOutcome:
+def _search(eq, n, r, edges, deadline) -> SearchOutcome:
+    """Decide colorability of [1, n] on the edge backend, or on dp when
+    edges is None."""
     stats = SearchStats()
-    m = len(edges)
+    color = [0] * (n + 1)
+    if edges is not None:
+        backend = "edge"
+        order, checks = _edge_checks(n, r, edges, color, stats)
+    else:
+        backend = "dp"
+        order = range(1, n + 1)
+        if _dp_fast(eq):
+            checks = _dp_fast_checks(eq, n, r, color, stats)
+        else:
+            checks = _dp_generic_checks(eq, r, color)
+    verdict = _backtrack(order, color, r, *checks, stats, deadline)
+    coloring = None
+    if verdict == COLORABLE:
+        # vertices on no edge are never searched and take color 1
+        coloring = Coloring(n, r, tuple(c or 1 for c in color[1:]))
+    return SearchOutcome(verdict, coloring, stats, backend)
+
+
+def _backtrack(order, color, r, candidates, place, undo, stats, deadline) -> str:
+    """The one search loop (see the module docstring); returns the verdict.
+
+    candidates(v, limit) gives the colors to try at v, none above limit.
+    place(v, c) colors v and whatever that forces and returns an undo
+    token, (the vertices it colored, its log), or None after undoing a
+    rejected placement itself; undo(token) reverses a placement.  color
+    is the backend's vertex -> color map, 0 while uncolored; on COLORABLE
+    it holds the coloring."""
+    # one frame per decision: (position in order, candidates, next index,
+    # undo token, max_used before it)
+    stack: list[tuple] = []
+    clock = time.monotonic
+    end = len(order)
+    pos = 0
+    max_used = 0
+    cand = None
+    ci = 0
+    while True:
+        if cand is None:
+            while pos < end and color[order[pos]]:
+                pos += 1                  # colored by propagation
+            if pos == end:
+                return COLORABLE
+            cand = candidates(order[pos], min(r, max_used + 1))
+            ci = 0
+        v = order[pos]
+        while ci < len(cand):
+            c = cand[ci]
+            ci += 1
+            stats.nodes += 1
+            if clock() > deadline:
+                return BUDGET_EXHAUSTED
+            token = place(v, c)
+            if token is not None:
+                stack.append((pos, cand, ci, token, max_used))
+                if len(stack) > stats.max_depth:
+                    stats.max_depth = len(stack)
+                for w in token[0]:
+                    if color[w] > max_used:
+                        max_used = color[w]
+                cand = None
+                break
+        else:
+            if not stack:
+                return UNCOLORABLE
+            pos, cand, ci, token, max_used = stack.pop()
+            undo(token)
+
+
+def _edge_checks(n, r, edges, color, stats):
+    """The edge backend: its search order, the vertices on some edge, and
+    its candidates, place and undo."""
     esize = [len(e) for e in edges]
     incident: list[list[int]] = [[] for _ in range(n + 1)]
     for ei, e in enumerate(edges):
         for v in e:
             incident[v].append(ei)
-    in_edge = [bool(incident[v]) for v in range(n + 1)]
-    order = [v for v in range(1, n + 1) if in_edge[v]]
-
-    def result(verdict, color=None):
-        coloring = None
-        if verdict == COLORABLE:
-            vals = tuple(
-                color[v] if in_edge[v] else 1 for v in range(1, n + 1)
-            )
-            coloring = Coloring(n, r, vals)
-        return SearchOutcome(verdict, coloring, stats, "edge")
-
-    if not order:
-        return result(COLORABLE, None)
-
-    color = [0] * (n + 1)
     domain = [(1 << r) - 1] * (n + 1)
-    counts = [[0] * (r + 1) for _ in range(m)]
+    counts = [[0] * (r + 1) for _ in edges]
     unc = esize[:]
 
     def assign(v, c, restore, forced):
@@ -272,7 +319,7 @@ def _edge_search(eq, n, r, edges, deadline) -> SearchOutcome:
     def place(v, c):
         """Color v with c, then each vertex left with one viable color, in
         the order they are forced, until nothing is forced or a conflict
-        arises.  Returns (ok, vertices colored, domain restore log)."""
+        arises."""
         placed = [v]
         restore: list[tuple[int, int]] = []
         ok = assign(v, c, restore, placed)
@@ -282,9 +329,13 @@ def _edge_search(eq, n, r, edges, deadline) -> SearchOutcome:
             i += 1
             ok = assign(w, domain[w].bit_length(), restore, placed)
         del placed[i:]
-        return ok, placed, restore
+        if ok:
+            return placed, restore
+        undo((placed, restore))
+        return None
 
-    def undo(placed, restore):
+    def undo(token):
+        placed, restore = token
         for v in reversed(placed):
             c = color[v]
             for ei in incident[v]:
@@ -315,47 +366,8 @@ def _edge_search(eq, n, r, edges, deadline) -> SearchOutcome:
         scored.sort()
         return [c for _, c in scored]
 
-    # one frame per decision: (position in order, candidates, next index,
-    # vertices colored under it, domain restore log, max_used before it)
-    stack: list[tuple[int, list, int, list, list, int]] = []
-    pos = 0
-    max_used = 0
-    cand: list | None = None
-    ci = 0
-    while True:
-        if cand is None:
-            while pos < len(order) and color[order[pos]]:
-                pos += 1                  # colored by propagation
-            if pos == len(order):
-                return result(COLORABLE, color)
-            cand = candidates(order[pos], min(r, max_used + 1))
-            ci = 0
-        v = order[pos]
-        placed = False
-        while ci < len(cand):
-            c = cand[ci]
-            ci += 1
-            stats.nodes += 1
-            if time.monotonic() > deadline:
-                return result(BUDGET_EXHAUSTED)
-            ok, colored, restore = place(v, c)
-            if ok:
-                stack.append((pos, cand, ci, colored, restore, max_used))
-                if len(stack) > stats.max_depth:
-                    stats.max_depth = len(stack)
-                for w in colored:
-                    if color[w] > max_used:
-                        max_used = color[w]
-                cand = None
-                placed = True
-                break
-            undo(colored, restore)
-        if placed:
-            continue
-        if not stack:
-            return result(UNCOLORABLE)
-        pos, cand, ci, colored, restore, max_used = stack.pop()
-        undo(colored, restore)
+    order = [v for v in range(1, n + 1) if incident[v]]
+    return order, (candidates, place, undo)
 
 
 def _dp_fast(eq: Equation) -> bool:
@@ -369,14 +381,9 @@ def _dp_fast(eq: Equation) -> bool:
     )
 
 
-def _dp_search(eq, n, r, deadline) -> SearchOutcome:
-    if _dp_fast(eq):
-        return _dp_search_fast(eq, n, r, deadline)
-    return _dp_search_generic(eq, n, r, deadline)
-
-
-def _dp_search_fast(eq, n, r, deadline) -> SearchOutcome:
-    stats = SearchStats()
+def _dp_fast_checks(eq, n, r, color, stats):
+    """The dp fast path's candidates, place and undo: power-sum masks per
+    class, extended as the class grows, and forward checking."""
     lhs, rhs, _ = _plan(eq)
     p, cl = lhs[0].size, lhs[0].coefficient
     q, cr = rhs[0].size, rhs[0].coefficient
@@ -389,31 +396,33 @@ def _dp_search_fast(eq, n, r, deadline) -> SearchOutcome:
     # per color: stack of (lhs masks A_0..A_p, rhs masks A_0..A_q)
     init = ((1,) + (0,) * p, (1,) + (0,) * q)
     stacks: list[list] = [[init] for _ in range(r + 1)]
-
-    color = [0] * (n + 1)
     domain = [(1 << r) - 1] * (n + 1)      # colors not yet struck, bit c-1
+    # viable[limit][dm]: the colors 1..limit left in domain dm, filled in
+    # as domains are met (a full table would have 2**r rows)
+    viable: list[dict[int, list[int]]] = [{} for _ in range(r + 1)]
 
     def closes_solution(v, c):
         """Extend class c by v; push masks; True iff a solution with maximum
         value v lies entirely in the class."""
         la, ra = stacks[c][-1]
-        nl = [la[0]]
+        sl, sr = wl[v], wr[v]
+        nl = [1]
         for t in range(1, p + 1):
-            nl.append((la[t] | (nl[t - 1] << wl[v])) & capmask)
-        nr = [ra[0]]
+            nl.append((la[t] | (nl[-1] << sl)) & capmask)
+        nr = [1]
         for t in range(1, q + 1):
-            nr.append((ra[t] | (nr[t - 1] << wr[v])) & capmask)
-        stacks[c].append((tuple(nl), tuple(nr)))
-        b_l = (nl[p - 1] << wl[v]) & capmask
-        b_r = (nr[q - 1] << wr[v]) & capmask
-        return bool((b_l & nr[q]) | (nl[p] & b_r))
+            nr.append((ra[t] | (nr[-1] << sr)) & capmask)
+        stacks[c].append((nl, nr))
+        # v once more on the left: (nl[p-1] << sl) & nr[q]; on the right:
+        # nl[p] & (nr[q-1] << sr); shifted right instead, for smaller ints
+        return bool((nr[q] >> sl) & nl[p - 1] or (nl[p] >> sr) & nr[q - 1])
 
-    def strike(v, c, restore):
+    def strike(v, c, struck):
         """Strike c from each later vertex that would close a solution using
         its own value once and the rest of class c, v now included.
 
         Sound while v stays in c, since a class only grows until backtrack.
-        Logs each change in restore; False if a domain is wiped out."""
+        Lists each vertex struck in struck; False if a domain is wiped out."""
         la, ra = stacks[c][-1]
         a, a1 = la[p], la[p - 1]
         b, b1 = ra[q], ra[q - 1]
@@ -423,112 +432,65 @@ def _dp_search_fast(eq, n, r, deadline) -> SearchOutcome:
             # w once on the left: (a1 << wl[w]) & b; on the right:
             # a & (b1 << wr[w]); shifted right instead, for smaller ints
             if dm & bit and ((b >> wl[w]) & a1 or (a >> wr[w]) & b1):
-                restore.append((w, dm))
+                struck.append(w)
                 domain[w] = dm = dm ^ bit
                 stats.propagations += 1
                 if not dm:
                     return False
         return True
 
-    def undo(restore):
-        for w, dm in reversed(restore):
-            domain[w] = dm
+    def candidates(v, limit):
+        dm = domain[v]
+        cands = viable[limit].get(dm)
+        if cands is None:
+            cands = [c for c in range(1, limit + 1) if dm >> (c - 1) & 1]
+            viable[limit][dm] = cands
+        return cands
 
-    # one frame per placement: (vertex, color, max_used before it, the
-    # domain restore log of its strikes)
-    stack: list[tuple[int, int, int, list]] = []
-    pos = 1
-    c_try = 1
-    max_used = 0
-    while True:
-        if pos > n:
-            return SearchOutcome(
-                COLORABLE, Coloring(n, r, tuple(color[1:])), stats, "dp"
-            )
-        placed = False
-        c = c_try
-        limit = min(r, max_used + 1)
-        dm = domain[pos]
-        while c <= limit:
-            if not dm >> (c - 1) & 1:
-                c += 1                    # struck by an earlier placement
-                continue
-            stats.nodes += 1
-            if not stats.nodes % CLOCK_CHECK_NODES and time.monotonic() > deadline:
-                return SearchOutcome(BUDGET_EXHAUSTED, None, stats, "dp")
-            restore: list[tuple[int, int]] = []
-            if closes_solution(pos, c) or not strike(pos, c, restore):
-                undo(restore)
-                stacks[c].pop()
-                c += 1
-                continue
-            color[pos] = c
-            stack.append((pos, c, max_used, restore))
-            if len(stack) > stats.max_depth:
-                stats.max_depth = len(stack)
-            if c > max_used:
-                max_used = c
-            pos += 1
-            c_try = 1
-            placed = True
-            break
-        if placed:
-            continue
-        if not stack:
-            return SearchOutcome(UNCOLORABLE, None, stats, "dp")
-        v, c, max_used, restore = stack.pop()
+    def place(v, c):
+        struck: list[int] = []
+        if closes_solution(v, c) or not strike(v, c, struck):
+            unplace(c, struck)
+            return None
+        color[v] = c
+        return (v,), struck
+
+    def undo(token):
+        (v,), struck = token
+        unplace(color[v], struck)
+        color[v] = 0
+
+    def unplace(c, struck):
         stacks[c].pop()
-        undo(restore)
-        color[v] = 0
-        pos = v
-        c_try = c + 1
+        bit = 1 << (c - 1)
+        for w in struck:
+            domain[w] |= bit
+
+    return candidates, place, undo
 
 
-def _dp_search_generic(eq, n, r, deadline) -> SearchOutcome:
-    """DP backend for equations outside the fast path (per-node oracle)."""
-    stats = SearchStats()
+def _dp_generic_checks(eq, r, color):
+    """The dp path for other equations: a dp_feasible call per placement."""
     classes: list[list[int]] = [[] for _ in range(r + 1)]
-    color = [0] * (n + 1)
-    stack: list[tuple[int, int, int]] = []
-    pos = 1
-    c_try = 1
-    max_used = 0
-    while True:
-        if pos > n:
-            return SearchOutcome(
-                COLORABLE, Coloring(n, r, tuple(color[1:])), stats, "dp"
-            )
-        placed = False
-        c = c_try
-        limit = min(r, max_used + 1)
-        while c <= limit:
-            stats.nodes += 1
-            if time.monotonic() > deadline:       # a node is a dp_feasible call
-                return SearchOutcome(BUDGET_EXHAUSTED, None, stats, "dp")
-            classes[c].append(pos)
-            if dp_feasible(eq, classes[c], pos):
-                classes[c].pop()
-                c += 1
-                continue
-            color[pos] = c
-            stack.append((pos, c, max_used))
-            if len(stack) > stats.max_depth:
-                stats.max_depth = len(stack)
-            if c > max_used:
-                max_used = c
-            pos += 1
-            c_try = 1
-            placed = True
-            break
-        if placed:
-            continue
-        if not stack:
-            return SearchOutcome(UNCOLORABLE, None, stats, "dp")
-        v, c, max_used = stack.pop()
-        classes[c].pop()
+
+    def candidates(v, limit):
+        return range(1, limit + 1)
+
+    def place(v, c):
+        color[v] = c
+        classes[c].append(v)
+        token = (v,), None
+        if dp_feasible(eq, classes[c], v):
+            undo(token)
+            return None
+        return token
+
+    def undo(token):
+        (v,), _ = token
+        classes[color[v]].pop()
         color[v] = 0
-        pos = v
-        c_try = c + 1
+
+    return candidates, place, undo
 
 
 def compute_rado(
@@ -548,8 +510,8 @@ def compute_rado(
     _validate(1, r)
     deadline = time.monotonic() + params.time_budget
     bounds: list[BoundReport] = []
-    use_edges = params.backend in ("edge", "auto")
-    edges: list[tuple[int, ...]] = []     # every edge of [1, n], by (max, tuple)
+    # every edge of [1, n], by (max, tuple); None once the search is on dp
+    edges: list[tuple[int, ...]] | None = [] if params.backend != "dp" else None
 
     colors: list[int] = []                # the witness: colors[v-1] is v's color
     below_first_edge = True
@@ -568,7 +530,7 @@ def compute_rado(
 
         t0 = time.monotonic()
         closing = None
-        if use_edges:
+        if edges is not None:
             try:
                 closing = build_hyperedges(
                     eq, n, closing=True, node_budget=AUTO_NODE_BUDGET,
@@ -582,8 +544,7 @@ def compute_rado(
                         f"edge backend refused at n={n}: more than {AUTO_EDGE_CAP} "
                         "edges; use backend 'dp' or 'auto'"
                     ) from None
-                use_edges = False
-                edges = []
+                edges = None
             else:
                 edges.extend(closing)
 
@@ -598,10 +559,7 @@ def compute_rado(
 
         if time.monotonic() > deadline:
             return _outcome(LOWER_BOUND, n - 1, colors, r, bounds)
-        if closing is not None:
-            outcome = _edge_search(eq, n, r, edges, deadline)
-        else:
-            outcome = _dp_search(eq, n, r, deadline)
+        outcome = _search(eq, n, r, edges, deadline)
         outcome.stats.elapsed_ms = int((time.monotonic() - t0) * 1000)
         bounds.append(BoundReport(
             n, outcome.verdict, outcome.backend, False,

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from rado.cli import main
 from rado.cnf import parse_dimacs
@@ -203,6 +204,15 @@ def test_table_bad_range(capsys):
     code, _, err = run(capsys, "table", "--min-k", "5", "--max-k", "3", "-r", "2")
     assert code == 2
     assert "min-k" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_table_bad_jobs(capsys, jobs):
+    code, out, err = run(capsys, "table", "--min-k", "3", "--max-k", "4",
+                         "-r", "2", "--jobs", jobs)
+    assert code == 2
+    assert "--jobs" in err
+    assert out == ""
 
 
 def test_rado_json_deterministic(capsys):

@@ -101,6 +101,36 @@ def test_dp_forward_checking_prunes():
     assert out.stats.propagations > 0
 
 
+@pytest.mark.parametrize("backend, text, distinct, n, r, trace, witness", [
+    # edge: propagation to a fixpoint
+    ("edge", "x^2+y^2+z^2=w^2", False, 73, 2,
+     (COLORABLE, 510, 4145, 21), None),
+    # dp fast path: one weight per side, forward checking
+    ("dp", "x1^2+x2^2+x3^2+x4^2+x5^2=y1^2+y2^2", False, 31, 3,
+     (UNCOLORABLE, 29527, 52618, 25), None),
+    ("dp", "x0=y0+y1", False, 13, 3,
+     (COLORABLE, 80, 104, 13), (1, 2, 2, 1, 3, 3, 1, 3, 3, 1, 2, 2, 1)),
+    ("dp", "x0=y0+y1", False, 14, 3, (UNCOLORABLE, 197, 302, 11), None),
+    # generic dp: a dp_feasible call per node
+    ("dp", "x^2+y^2+2z^2=w^2", False, 30, 2, (COLORABLE, 84, 0, 30), None),
+    ("dp", "x+y=z", True, 8, 2,
+     (COLORABLE, 14, 0, 8), (1, 1, 2, 1, 2, 2, 2, 1)),
+    ("dp", "x+y=z", True, 9, 2, (UNCOLORABLE, 53, 0, 8), None),
+])
+def test_search_traces_are_pinned(backend, text, distinct, n, r, trace, witness):
+    # exact counts, one case per search path: a change to the search core
+    # that alters the order of the search shows here first
+    eq = parse_equation(text, distinct=distinct)
+    out = find_coloring(eq, n, r, SearchParams(backend=backend))
+    assert out.backend == backend
+    assert (out.verdict, out.stats.nodes, out.stats.propagations,
+            out.stats.max_depth) == trace
+    if witness is not None:
+        assert out.coloring.colors == witness
+    if out.coloring is not None:
+        assert_valid(eq, out.coloring)
+
+
 class FakeClock:
     """Stands in for the time module: monotonic() returns now, which the
     test moves or which advances by step before every read, and counts
@@ -179,7 +209,7 @@ def clocked_stats(clock, expire_at):
 
 @pytest.mark.parametrize("backend, eq, n, interval", [
     ("edge", family_equation(3), 105, 1),
-    ("dp", family_equation(3), 105, CLOCK_CHECK_NODES),       # fast path
+    ("dp", family_equation(3), 105, 1),                       # fast path
     ("dp", parse_equation("x^2+y^2+2z^2=w^2"), 60, 1),        # generic
 ])
 def test_search_loops_stop_within_check_interval(monkeypatch, backend, eq, n, interval):
