@@ -18,7 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .equations import EquationError, parse_equation
-from .solutions import SolutionTuple, iter_canonical_solutions
+from .solutions import (
+    OverflowGuardError,
+    SolutionCapError,
+    SolutionTuple,
+    iter_canonical_solutions,
+)
 from .solver import Coloring
 
 VALID = "valid"
@@ -135,11 +140,14 @@ def verify(cert: Certificate) -> Verdict:
     if cert.n == 0:
         return Verdict(VALID)
     chi = (0,) + cert.colors
-    for sol in iter_canonical_solutions(eq, cert.n):
-        values = sol.constrained()
-        first = chi[values[0]]
-        if all(chi[v] == first for v in values[1:]):
-            return Verdict(INVALID, violation=sol)
+    try:
+        for sol in iter_canonical_solutions(eq, cert.n):
+            values = sol.constrained()
+            first = chi[values[0]]
+            if all(chi[v] == first for v in values[1:]):
+                return Verdict(INVALID, violation=sol)
+    except (SolutionCapError, OverflowGuardError) as exc:
+        return Verdict(MALFORMED, reason=f"cannot enumerate [1, {cert.n}]: {exc}")
     return Verdict(VALID)
 
 

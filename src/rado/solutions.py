@@ -6,15 +6,17 @@ sharing a coefficient (and free/constrained status) are interchangeable,
 so values are scanned non-decreasing within each such group.  One side is
 materialized into a total -> representatives map and the other side is
 streamed against it, which keeps the scan linear in the side product
-instead of the full tuple space.  Free variables are solved exactly from
-the residual and are not bounded by n.
+instead of the full tuple space.  Both sides go through one recursion.
+A free variable is scanned like any other, but bounded by the largest
+total of the side without free variables instead of by n; like any
+streamed slot, it is solved rather than scanned when the materialized
+side has only a few totals.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, inf, isqrt
@@ -113,23 +115,38 @@ class _Group:
 
 
 @lru_cache(maxsize=256)
-def _side_groups(eq: Equation, which: str) -> tuple[_Group, ...]:
-    terms = eq.lhs if which == "lhs" else eq.rhs
-    buckets: dict[tuple[int, bool], list[str]] = {}
-    for t in terms:
-        buckets.setdefault((t.coefficient, eq.is_free(t.variable)), []).append(t.variable)
-    return tuple(
-        _Group(coef, tuple(names), free)
-        for (coef, free), names in sorted(buckets.items())
+def _plan(eq: Equation) -> tuple[tuple[_Group, ...], tuple[_Group, ...]]:
+    """The groups of each side, ordered by (coefficient, free status)."""
+
+    def side_groups(terms):
+        buckets: dict[tuple[int, bool], list[str]] = {}
+        for t in terms:
+            buckets.setdefault((t.coefficient, eq.is_free(t.variable)), []).append(t.variable)
+        return tuple(
+            _Group(coef, tuple(names), free)
+            for (coef, free), names in sorted(buckets.items())
+        )
+
+    return side_groups(eq.lhs), side_groups(eq.rhs)
+
+
+def _cap(lhs, rhs, n: int, degree: int) -> int:
+    """The largest total of a solution within [1, n]: the least of the
+    largest totals of the sides without free variables."""
+    return min(
+        sum(g.coefficient * g.size for g in side) * n**degree
+        for side in (lhs, rhs)
+        if not any(g.is_free for g in side)
     )
 
 
 class _Scan:
     """Value ranges of one enumeration pass.
 
-    Every constrained group scans [1, bound[g]]; the pinned group's last
-    (largest) slot is fixed at its bound.  powers maps a coefficient to
-    [coefficient * v**degree for v in 0..n].
+    Every group scans [1, bound[g]]; the pinned group's last (largest)
+    slot is fixed at its bound.  powers maps a coefficient to
+    [coefficient * v**degree for v in 0..b], b the largest bound of its
+    groups and at least n.
     """
 
     __slots__ = ("degree", "powers", "bound", "pinned")
@@ -141,33 +158,37 @@ class _Scan:
         self.pinned = pinned
 
 
-def _scans(groups: tuple[_Group, ...], n: int, degree: int, closing: bool):
+def _scans(groups: tuple[_Group, ...], n: int, degree: int, closing: bool, cap: int):
     """The passes that enumerate [1, n], or with closing only the
     solutions holding n: pass p pins constrained group p to n and bounds
     the groups before it by n-1, so each solution is produced once, by the
-    first group (lhs then rhs) that holds n."""
+    first group (lhs then rhs) that holds n.  A free group is never pinned;
+    it is bounded by the largest value whose power fits in cap."""
+    bound = {
+        g: _floor_root(cap // g.coefficient, degree) if g.is_free else n
+        for g in groups
+    }
+    reach: dict[int, int] = {}
+    for g in groups:
+        reach[g.coefficient] = max(reach.get(g.coefficient, n), bound[g])
+    powers = {c: [c * v**degree for v in range(top + 1)] for c, top in reach.items()}
     constrained = [g for g in groups if not g.is_free]
-    powers = {}
-    for g in constrained:
-        if g.coefficient not in powers:
-            powers[g.coefficient] = [g.coefficient * v**degree for v in range(n + 1)]
     if not closing:
-        return [_Scan(degree, powers, dict.fromkeys(constrained, n))]
+        return [_Scan(degree, powers, bound)]
     return [
-        _Scan(degree, powers,
-              {g: n - 1 if j < p else n for j, g in enumerate(constrained)}, pivot)
+        _Scan(degree, powers, bound | dict.fromkeys(constrained[:p], n - 1), pivot)
         for p, pivot in enumerate(constrained)
     ]
 
 
-def _tail_min(groups, scan: _Scan | None = None) -> list[int]:
+def _tail_min(groups, scan: _Scan) -> list[int]:
     """tail_min[i]: the least total of groups[i:], every slot at 1 except
     a pinned slot, which sits at its bound."""
     tail_min = [0] * (len(groups) + 1)
     for i in range(len(groups) - 1, -1, -1):
         g = groups[i]
         least = g.coefficient * g.size
-        if scan is not None and g == scan.pinned:
+        if g == scan.pinned:
             least += scan.powers[g.coefficient][scan.bound[g]] - g.coefficient
         tail_min[i] = tail_min[i + 1] + least
     return tail_min
@@ -250,35 +271,74 @@ class _Budget:
         self.reserve = remaining - self.left
 
 
-def _iter_side_reps(groups, scan, cap, budget):
-    """Yield (total, values) for every canonical assignment of one side.
+def _iter_side(groups, scan, cap, probe, budget):
+    """Yield (total, values) for every canonical assignment of one side
+    whose total is at most cap and, given a probe table, one of its keys.
+    values is a tuple of per-group non-decreasing value tuples.
 
-    values is a tuple of per-group non-decreasing value tuples; total is
-    the side's weighted power sum, always <= cap.
+    With a probe the innermost slot runs as a tight loop, so the scan cost
+    stays close to raw arithmetic; when the probe holds only a few totals
+    the last slots are solved for each of them instead.
     """
     tail_min = _tail_min(groups, scan)
+    glast = len(groups) - 1
+    totals = None
+    if probe is not None and len(probe) <= EXACT_PROBE_TOTALS:
+        totals = sorted(probe)
 
     def rec(gi, partial, acc):
-        if gi == len(groups):
-            yield partial, tuple(acc)
-            return
         g = groups[gi]
         later = tail_min[gi + 1]
         pw = scan.powers[g.coefficient]
         bound = scan.bound[g]
         pin = g == scan.pinned
         top = g.size - 1
+        last = gi == glast
 
         def fill(slot, lo, part, vals):
-            budget.spend(1)
-            if slot == top:
-                v = bound if pin else lo
-                while v <= bound and part + pw[v] + later <= cap:
-                    vals.append(v)
-                    yield from rec(gi + 1, part + pw[v], acc + [tuple(vals)])
-                    vals.pop()
-                    v += 1
+            if last and totals is not None and slot >= top - 1 + pin:
+                # few totals: solve the slots left for each of them
+                coef, degree = g.coefficient, scan.degree
+                for t in totals:
+                    if slot == top:
+                        v = _solve_last(coef, degree, t - part, bound if pin else lo)
+                        found = [(v,)] if v is not None and v <= bound else []
+                    else:
+                        found = _solve_pair(pw, coef, degree, t - part, lo, bound, budget)
+                    for tail in found:
+                        yield t, acc + (tuple(vals) + tail,)
+                budget.spend(len(totals) + 1)
                 return
+            if slot == top:
+                if pin:
+                    lo = bound
+                if not last:
+                    budget.spend(1)
+                    v = lo
+                    while v <= bound and part + pw[v] + later <= cap:
+                        yield from rec(gi + 1, part + pw[v], acc + (tuple(vals + [v]),))
+                        v += 1
+                elif probe is None:
+                    budget.spend(1)
+                    v = lo
+                    while v <= bound and part + pw[v] <= cap:
+                        yield part + pw[v], acc + (tuple(vals + [v]),)
+                        v += 1
+                else:
+                    # innermost slot: probe the other side's totals directly
+                    v = lo
+                    count = 0
+                    while v <= bound:
+                        t = part + pw[v]
+                        if t > cap:
+                            break
+                        if t in probe:
+                            yield t, acc + (tuple(vals + [v]),)
+                        v += 1
+                        count += 1
+                    budget.spend(count + 1)
+                return
+            budget.spend(1)
             # slots slot..top all hold >= v, and a pinned top holds bound
             mult = top - slot + 1 - pin
             limit = cap - later - (pw[bound] if pin else 0)
@@ -291,138 +351,7 @@ def _iter_side_reps(groups, scan, cap, budget):
 
         yield from fill(0, 1, partial, [])
 
-    yield from rec(0, 0, [])
-
-
-def _iter_matching_reps(groups, scan, cap, probe, budget):
-    """Stream one side's canonical assignments, yielding only those whose
-    total appears in probe.  The innermost slot runs as a tight loop so the
-    scan cost stays close to raw arithmetic; when probe holds only a few
-    totals it is solved for each of them instead."""
-    tail_min = _tail_min(groups, scan)
-    glast = len(groups) - 1
-    totals = sorted(probe) if len(probe) <= EXACT_PROBE_TOTALS else None
-
-    def rec(gi, partial, acc):
-        g = groups[gi]
-        later = tail_min[gi + 1]
-        pw = scan.powers[g.coefficient]
-        bound = scan.bound[g]
-        pin = g == scan.pinned
-        top = g.size - 1
-
-        def fill(slot, lo, part, vals):
-            if gi == glast and totals is not None and slot >= top - 1 + pin:
-                # few totals: solve the slots left for each of them
-                coef, degree = g.coefficient, scan.degree
-                for t in totals:
-                    if slot == top:
-                        v = _solve_last(coef, degree, t - part, bound if pin else lo)
-                        found = [(v,)] if v is not None and v <= bound else []
-                    else:
-                        found = _solve_pair(pw, coef, degree, t - part, lo, bound, budget)
-                    for last in found:
-                        yield t, acc + (tuple(vals) + last,)
-                budget.spend(len(totals) + 1)
-                return
-            if slot == top:
-                if pin:
-                    lo = bound
-                if gi == glast:
-                    # innermost slot: probe the other side's totals directly
-                    v = lo
-                    limit = cap - later
-                    count = 0
-                    while v <= bound:
-                        t = part + pw[v]
-                        if t > limit:
-                            break
-                        if t in probe:
-                            yield t, acc + (tuple(vals + [v]),)
-                        v += 1
-                        count += 1
-                    budget.spend(count + 1)
-                    return
-                budget.spend(1)
-                v = lo
-                while v <= bound and part + pw[v] + later <= cap:
-                    yield from rec(gi + 1, part + pw[v], acc + (tuple(vals + [v]),))
-                    v += 1
-                return
-            budget.spend(1)
-            mult = top - slot + 1 - pin
-            limit = cap - later - (pw[bound] if pin else 0)
-            v = lo
-            while v <= bound and part + pw[v] * mult <= limit:
-                vals.append(v)
-                yield from fill(slot + 1, v, part + pw[v], vals)
-                vals.pop()
-                v += 1
-
-        yield from fill(0, 1, partial, [])
-
-    if groups:
-        yield from rec(0, 0, ())
-
-
-def _iter_free_exact(groups, degree, residual, budget):
-    """Yield per-group value tuples of free slots summing exactly to residual.
-
-    Values are unbounded above; the final slot is solved by exact integer
-    root extraction instead of scanning.
-    """
-    tail_min = _tail_min(groups)
-
-    def rec(gi, remaining, acc):
-        budget.spend(1)
-        g = groups[gi]
-        last_group = gi == len(groups) - 1
-
-        def fill(slot, lo, rem, vals):
-            if last_group and slot == g.size - 1:
-                v = _solve_last(g.coefficient, degree, rem, lo)
-                if v is not None:
-                    yield acc + (tuple(vals + [v]),)
-                return
-            rest = g.size - slot - 1
-            v = lo
-            while g.coefficient * v**degree * (rest + 1) + tail_min[gi + 1] <= rem:
-                vals.append(v)
-                if slot == g.size - 1:
-                    yield from rec(gi + 1, rem - g.coefficient * v**degree,
-                                   acc + (tuple(vals),))
-                else:
-                    yield from fill(slot + 1, v, rem - g.coefficient * v**degree, vals)
-                vals.pop()
-                v += 1
-
-        yield from fill(0, 1, remaining, [])
-
-    if groups:
-        yield from rec(0, residual, ())
-    elif residual == 0:
-        yield ()
-
-
-@dataclass(frozen=True)
-class _Rep:
-    """One canonical solution: per-group value tuples for each side."""
-
-    lhs: tuple[tuple[int, ...], ...]
-    rhs: tuple[tuple[int, ...], ...]
-
-
-@lru_cache(maxsize=256)
-def _plan(eq: Equation):
-    """Static enumeration plan: split groups into constrained/free parts."""
-    lhs = _side_groups(eq, "lhs")
-    rhs = _side_groups(eq, "rhs")
-    free_side = None
-    if any(g.is_free for g in lhs):
-        free_side = "lhs"
-    elif any(g.is_free for g in rhs):
-        free_side = "rhs"
-    return lhs, rhs, free_side
+    yield from rec(0, 0, ())
 
 
 def _iter_reps(
@@ -433,91 +362,47 @@ def _iter_reps(
     deadline: float | None = None,
 ):
     """Yield every canonical solution representative within [1, n]; with
-    closing, only those whose largest constrained value is n."""
-    check_overflow(eq, n)
-    lhs, rhs, free_side = _plan(eq)
-    budget = _Budget(node_budget, deadline)
-    degree = eq.degree
-    scans = _scans(lhs + rhs, n, degree, closing)
+    closing, only those whose largest constrained value is n.
 
-    def materialize(groups, scan, cap):
+    A representative is a (lhs, rhs) pair of per-group value tuples.  Each
+    pass materializes the side with fewer estimated assignments into a
+    total -> values table and streams the other side against it."""
+    check_overflow(eq, n)
+    lhs, rhs = _plan(eq)
+    budget = _Budget(node_budget, deadline)
+    cap = _cap(lhs, rhs, n, eq.degree)
+    for scan in _scans(lhs + rhs, n, eq.degree, closing, cap):
+        mat_lhs = _est_reps(lhs, scan) <= _est_reps(rhs, scan)
+        mat_groups, stream_groups = (lhs, rhs) if mat_lhs else (rhs, lhs)
         table: dict[int, list] = {}
         count = 0
-        for total, vals in _iter_side_reps(groups, scan, cap, budget):
+        for total, vals in _iter_side(mat_groups, scan, cap, None, budget):
             table.setdefault(total, []).append(vals)
             count += 1
             if count > MATERIALIZE_CAP:
-                raise SolutionCapError("equation too dense to enumerate")
-        return table
-
-    if free_side is None:
-        # a matching total must be reachable by both sides
-        cap = min(
-            sum(g.coefficient * g.size for g in side) * n**degree
-            for side in (lhs, rhs)
-        )
-        for scan in scans:
-            mat_lhs = _est_reps(lhs, scan) <= _est_reps(rhs, scan)
-            mat_groups, stream_groups = (lhs, rhs) if mat_lhs else (rhs, lhs)
-            table = materialize(mat_groups, scan, cap)
-            for total, svals in _iter_matching_reps(
-                stream_groups, scan, cap, table, budget
-            ):
-                for mvals in table[total]:
-                    if mat_lhs:
-                        yield _Rep(mvals, svals)
-                    else:
-                        yield _Rep(svals, mvals)
-        return
-
-    # one side carries free variables: materialize the fully constrained side
-    f_groups = lhs if free_side == "lhs" else rhs
-    c_groups = rhs if free_side == "lhs" else lhs
-    f_constrained = tuple(g for g in f_groups if not g.is_free)
-    f_free = tuple(g for g in f_groups if g.is_free)
-    free_min = sum(g.coefficient * g.size for g in f_free)
-    c_cap = sum(g.coefficient * n**degree * g.size for g in c_groups)
-
-    def assemble(cvals, fvals_constrained, fvals_free):
-        # reassemble the free side's group tuple in _side_groups order
-        out = []
-        ci = fi = 0
-        for g in f_groups:
-            if g.is_free:
-                out.append(fvals_free[fi])
-                fi += 1
-            else:
-                out.append(fvals_constrained[ci])
-                ci += 1
-        fv = tuple(out)
-        return _Rep(fv, cvals) if free_side == "lhs" else _Rep(cvals, fv)
-
-    for scan in scans:
-        table = materialize(c_groups, scan, c_cap)
-        totals = sorted(table)
-        fc_cap = (totals[-1] - free_min) if totals else -1
-        for partial, fvals in _iter_side_reps(f_constrained, scan, fc_cap, budget):
-            lo = bisect_left(totals, partial + free_min)
-            for total in totals[lo:]:
-                for free_vals in _iter_free_exact(f_free, degree, total - partial, budget):
-                    for cvals in table[total]:
-                        yield assemble(cvals, fvals, free_vals)
+                raise SolutionCapError(
+                    f"equation too dense to enumerate: one side has more than "
+                    f"MATERIALIZE_CAP={MATERIALIZE_CAP} assignments"
+                )
+        for total, svals in _iter_side(stream_groups, scan, cap, table, budget):
+            for mvals in table[total]:
+                yield (mvals, svals) if mat_lhs else (svals, mvals)
 
 
-def _rep_constrained(lhs, rhs, rep: _Rep) -> tuple[int, ...]:
+def _rep_constrained(lhs, rhs, rep) -> tuple[int, ...]:
     vals = []
-    for groups, side_vals in ((lhs, rep.lhs), (rhs, rep.rhs)):
+    for groups, side_vals in zip((lhs, rhs), rep):
         for g, gv in zip(groups, side_vals):
             if not g.is_free:
                 vals.extend(gv)
     return tuple(vals)
 
 
-def _rep_to_solution(eq: Equation, rep: _Rep) -> SolutionTuple:
-    lhs, rhs, _ = _plan(eq)
+def _rep_to_solution(eq: Equation, rep) -> SolutionTuple:
+    lhs, rhs = _plan(eq)
     values: dict[str, int] = {}
     free_values: dict[str, int] = {}
-    for groups, side_vals in ((lhs, rep.lhs), (rhs, rep.rhs)):
+    for groups, side_vals in zip((lhs, rhs), rep):
         for g, gv in zip(groups, side_vals):
             target = free_values if g.is_free else values
             for name, v in zip(g.names, gv):
@@ -525,10 +410,10 @@ def _rep_to_solution(eq: Equation, rep: _Rep) -> SolutionTuple:
     return SolutionTuple(values, free_values)
 
 
-def _distinct_ok(eq: Equation, rep: _Rep) -> bool:
+def _distinct_ok(eq: Equation, rep) -> bool:
     if not eq.distinct_required:
         return True
-    lhs, rhs, _ = _plan(eq)
+    lhs, rhs = _plan(eq)
     vals = _rep_constrained(lhs, rhs, rep)
     return len(set(vals)) == len(vals)
 
@@ -548,10 +433,10 @@ def enumerate_solutions(eq: Equation, n: int, limit: int = MAX_SOLUTIONS) -> lis
     """Every solution with constrained values in [1, n], each assignment
     emitted once, sorted lexicographically by canonical variable order.
 
-    Free variables are solved exactly and may exceed n.  Raises
+    Free variables may exceed n.  Raises
     SolutionCapError when the ordered listing would exceed limit entries.
     """
-    lhs, rhs, _ = _plan(eq)
+    lhs, rhs = _plan(eq)
     order = eq.variables
     out = []
     total = 0
@@ -559,7 +444,7 @@ def enumerate_solutions(eq: Equation, n: int, limit: int = MAX_SOLUTIONS) -> lis
         if not _distinct_ok(eq, rep):
             continue
         expansions = 1
-        for groups, side_vals in ((lhs, rep.lhs), (rhs, rep.rhs)):
+        for groups, side_vals in zip((lhs, rhs), rep):
             for g, gv in zip(groups, side_vals):
                 expansions *= _n_perms(gv)
         total += expansions
@@ -604,7 +489,7 @@ def _distinct_perms(vals: tuple[int, ...]):
 def _expand(eq, lhs, rhs, rep):
     per_group = []
     names = []
-    for groups, side_vals in ((lhs, rep.lhs), (rhs, rep.rhs)):
+    for groups, side_vals in zip((lhs, rhs), rep):
         for g, gv in zip(groups, side_vals):
             per_group.append(list(_distinct_perms(gv)))
             names.append(g.names)
@@ -640,7 +525,7 @@ def build_hyperedges(
     EnumerationBudgetExceeded, past a time.monotonic() deadline
     EnumerationTimeout.
     """
-    lhs, rhs, _ = _plan(eq)
+    lhs, rhs = _plan(eq)
     seen = set()
     for rep in _iter_reps(eq, n, node_budget, closing, deadline):
         vals = _rep_constrained(lhs, rhs, rep)
@@ -701,13 +586,9 @@ def dp_feasible(eq: Equation, class_values, pivot: int) -> bool:
     if eq.distinct_required:
         return _distinct_feasible(eq, values, pivot)
 
-    lhs, rhs, _ = _plan(eq)
+    lhs, rhs = _plan(eq)
     degree = eq.degree
-    cap = min(
-        sum(g.coefficient * g.size for g in side) * pivot**degree
-        for side in (lhs, rhs)
-        if not any(g.is_free for g in side)
-    )
+    cap = _cap(lhs, rhs, pivot, degree)
     capmask = (1 << (cap + 1)) - 1
 
     def side_masks(groups):
@@ -738,17 +619,13 @@ def dp_feasible(eq: Equation, class_values, pivot: int) -> bool:
 
 def _distinct_feasible(eq: Equation, values, pivot: int) -> bool:
     """Exhaustive feasibility for distinct-valued solutions (small inputs)."""
-    lhs, rhs, _ = _plan(eq)
+    lhs, rhs = _plan(eq)
     slots = []
     for sign, groups in ((1, lhs), (-1, rhs)):
         for g in groups:
             slots.extend((sign, g.coefficient, g.is_free) for _ in range(g.size))
     degree = eq.degree
-    cap = min(
-        sum(g.coefficient * g.size for g in side) * pivot**degree
-        for side in (lhs, rhs)
-        if not any(g.is_free for g in side)
-    )
+    cap = _cap(lhs, rhs, pivot, degree)
 
     def rec(i, diff, used, pivot_used):
         if i == len(slots):

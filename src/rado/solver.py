@@ -372,9 +372,9 @@ def _edge_checks(n, r, edges, color, stats):
 
 def _dp_fast(eq: Equation) -> bool:
     """The incremental mask extension needs one uniform weight per side."""
-    lhs, rhs, free_side = _plan(eq)
+    lhs, rhs = _plan(eq)
     return (
-        free_side is None
+        not eq.free_vars
         and not eq.distinct_required
         and len(lhs) == 1
         and len(rhs) == 1
@@ -384,7 +384,7 @@ def _dp_fast(eq: Equation) -> bool:
 def _dp_fast_checks(eq, n, r, color, stats):
     """The dp fast path's candidates, place and undo: power-sum masks per
     class, extended as the class grows, and forward checking."""
-    lhs, rhs, _ = _plan(eq)
+    lhs, rhs = _plan(eq)
     p, cl = lhs[0].size, lhs[0].coefficient
     q, cr = rhs[0].size, rhs[0].coefficient
     degree = eq.degree

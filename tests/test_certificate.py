@@ -117,6 +117,13 @@ def test_malformed_certificates():
     assert verify(Certificate("not an equation", 1, 1, (1,))).status == MALFORMED
 
 
+def test_verify_past_enumeration_cap_is_malformed(monkeypatch):
+    monkeypatch.setattr("rado.solutions.MATERIALIZE_CAP", 10)
+    verdict = verify(Certificate("x+y=z", 30, 2, (1,) * 30))
+    assert verdict.status == MALFORMED
+    assert "MATERIALIZE_CAP=10" in verdict.reason
+
+
 def test_parse_errors():
     with pytest.raises(CertificateError, match="header"):
         parse_certificate("bogus\n")

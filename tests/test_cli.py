@@ -130,6 +130,17 @@ def test_verify_malformed_exit_2(capsys, tmp_path):
     assert out.startswith("malformed:")
 
 
+def test_verify_past_enumeration_cap_json(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("rado.solutions.MATERIALIZE_CAP", 10)
+    cert = tmp_path / "dense.crt"
+    cert.write_text("rado-cert v1\ne x+y=z\nn 30\nr 2\nk" + " 1" * 30 + "\n")
+    code, out, _ = run(capsys, "verify", str(cert), "--json")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["status"] == "malformed"
+    assert "MATERIALIZE_CAP=10" in doc["reason"]
+
+
 def test_export_and_json_counts(capsys, tmp_path):
     cnf = tmp_path / "pyth.cnf"
     code, out, _ = run(capsys, "export", "x^2+y^2=z^2", "-n", "30", "-r", "2",

@@ -141,20 +141,22 @@ def test_completeness_vs_naive_scan(text):
 
 def test_completeness_random_equations():
     rng = random.Random(2025)
-    for _ in range(40):
+    for _ in range(60):
         nvars = rng.randint(2, 4)
         degree = rng.choice((1, 2))
         names = [f"v{i}" for i in range(nvars)]
         cut = rng.randint(1, nvars - 1)
         coefs = [rng.randint(1, 4) for _ in names]
-        text = "+".join(
-            f"{c if c > 1 else ''}{nm}{'^2' if degree == 2 else ''}"
-            for c, nm in zip(coefs[:cut], names[:cut])
-        ) + "=" + "+".join(
-            f"{c if c > 1 else ''}{nm}{'^2' if degree == 2 else ''}"
-            for c, nm in zip(coefs[cut:], names[cut:])
-        )
-        eq = parse_equation(text)
+        # one variable free (on its side only), or distinct values, or neither
+        kind = rng.choice(("plain", "free", "distinct"))
+        free = rng.randrange(nvars) if kind == "free" else None
+        terms = [
+            f"{c if c > 1 else ''}{'~' if i == free else ''}{nm}"
+            f"{'^2' if degree == 2 else ''}"
+            for i, (c, nm) in enumerate(zip(coefs, names))
+        ]
+        text = "+".join(terms[:cut]) + "=" + "+".join(terms[cut:])
+        eq = parse_equation(text, distinct=kind == "distinct")
         n = rng.randint(2, 12)
         assert as_pairs(enumerate_solutions(eq, n)) == naive_as_pairs(
             naive_solutions(eq, n)
