@@ -141,10 +141,9 @@ def verify(cert: Certificate) -> Verdict:
         return Verdict(VALID)
     chi = (0,) + cert.colors
     try:
+        color = chi.__getitem__
         for sol in iter_canonical_solutions(eq, cert.n):
-            values = sol.constrained()
-            first = chi[values[0]]
-            if all(chi[v] == first for v in values[1:]):
+            if len(set(map(color, sol.constrained()))) == 1:
                 return Verdict(INVALID, violation=sol)
     except (SolutionCapError, OverflowGuardError) as exc:
         return Verdict(MALFORMED, reason=f"cannot enumerate [1, {cert.n}]: {exc}")

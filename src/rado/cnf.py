@@ -78,19 +78,18 @@ def export_cnf(
             clauses.append([-v for v in e])
         variable_count = n
     else:
-        def var(i, c):
-            return (i - 1) * r + c
-
+        # neg[c][i] is the literal "vertex i does not have color c + 1"
+        neg = [[-((i - 1) * r + c) for i in range(n + 1)] for c in range(1, r + 1)]
         if smallest is not None:
-            clauses.append([var(smallest, 1)])
+            clauses.append([-neg[0][smallest]])
         for i in range(1, n + 1):
-            clauses.append([var(i, c) for c in range(1, r + 1)])
-            for c1 in range(1, r + 1):
-                for c2 in range(c1 + 1, r + 1):
-                    clauses.append([-var(i, c1), -var(i, c2)])
+            clauses.append([-row[i] for row in neg])
+            for c1 in range(r):
+                for c2 in range(c1 + 1, r):
+                    clauses.append([neg[c1][i], neg[c2][i]])
         for e in edges.edges:
-            for c in range(1, r + 1):
-                clauses.append([-var(i, c) for i in e])
+            for row in neg:
+                clauses.append(list(map(row.__getitem__, e)))
         variable_count = n * r
 
     return CnfInstance(

@@ -11,12 +11,23 @@ A free variable is scanned like any other, but bounded by the largest
 total of the side without free variables instead of by n; like any
 streamed slot, it is solved rather than scanned when the materialized
 side has only a few totals.
+
+The streamed side's innermost slot probes each total against the
+materialized table.  Where its values' powers fall into far fewer
+residue classes mod SIEVE_MODULUS than it has values, only the classes
+whose residue can complete the partial sum to a table total's residue
+are probed, each cut to the slot's range by bisection.  This residue
+sieve yields the same values in the same order, and charges the budget
+what the plain scan would, so backend choices and deadline checks do not
+depend on it.  It is skipped for a pinned slot and below eight values per
+class, decided from one cached count per coefficient.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, inf, isqrt
@@ -30,6 +41,8 @@ CLOCK_CHECK_NODES = 4096
 # a streamed side's last slot is solved per total, not scanned, when the
 # materialized side has at most this many totals
 EXACT_PROBE_TOTALS = 4
+# the streamed side's innermost slot is sieved by residues of totals mod this
+SIEVE_MODULUS = 5040
 
 
 class OverflowGuardError(ValueError):
@@ -239,6 +252,40 @@ def _solve_pair(pw, coef, degree, remaining, lo, bound, budget):
     return pairs
 
 
+@lru_cache(maxsize=64)
+def _residue_classes(coef, degree) -> int:
+    """How many residues mod SIEVE_MODULUS the values coef * v**degree take."""
+    return len({coef * v**degree % SIEVE_MODULUS for v in range(SIEVE_MODULUS)})
+
+
+def _residue_sieve(pw, bound, probe):
+    """hits(part, lo, hi): the ascending v in [lo, hi) with part + pw[v] in
+    probe, probing only the v whose residue class can reach a probe total
+    mod SIEVE_MODULUS."""
+    m = SIEVE_MODULUS
+    classes: dict[int, list[int]] = {}
+    for v in range(1, bound + 1):
+        classes.setdefault(pw[v] % m, []).append(v)
+    wanted = {t % m for t in probe}
+    fitting: dict[int, list[list[int]]] = {}
+
+    def hits(part, lo, hi):
+        r = part % m
+        fits = fitting.get(r)
+        if fits is None:
+            fits = fitting[r] = [vs for c, vs in classes.items() if (r + c) % m in wanted]
+        found = [
+            v
+            for vs in fits
+            for v in vs[bisect_left(vs, lo):bisect_left(vs, hi)]
+            if part + pw[v] in probe
+        ]
+        found.sort()
+        return found
+
+    return hits
+
+
 class _Budget:
     """Node allowance of one enumeration, and optionally a deadline.
 
@@ -277,14 +324,21 @@ def _iter_side(groups, scan, cap, probe, budget):
     values is a tuple of per-group non-decreasing value tuples.
 
     With a probe the innermost slot runs as a tight loop, so the scan cost
-    stays close to raw arithmetic; when the probe holds only a few totals
-    the last slots are solved for each of them instead.
+    stays close to raw arithmetic, or through the residue sieve where that
+    pays; when the probe holds only a few totals the last slots are solved
+    for each of them instead.
     """
     tail_min = _tail_min(groups, scan)
     glast = len(groups) - 1
-    totals = None
+    totals = sieve = None
     if probe is not None and len(probe) <= EXACT_PROBE_TOTALS:
         totals = sorted(probe)
+    elif probe is not None:
+        # the sieve pays from about eight values per residue class
+        g = groups[glast]
+        bound = scan.bound[g]
+        if g != scan.pinned and _residue_classes(g.coefficient, scan.degree) * 8 <= bound:
+            sieve = _residue_sieve(scan.powers[g.coefficient], bound, probe)
 
     def rec(gi, partial, acc):
         g = groups[gi]
@@ -324,7 +378,7 @@ def _iter_side(groups, scan, cap, probe, budget):
                     while v <= bound and part + pw[v] <= cap:
                         yield part + pw[v], acc + (tuple(vals + [v]),)
                         v += 1
-                else:
+                elif sieve is None:
                     # innermost slot: probe the other side's totals directly
                     v = lo
                     count = 0
@@ -337,6 +391,13 @@ def _iter_side(groups, scan, cap, probe, budget):
                         v += 1
                         count += 1
                     budget.spend(count + 1)
+                else:
+                    # the same probes, through the residue sieve, and the
+                    # same charge: every value the loop above would try
+                    hi = bisect_right(pw, cap - part, lo, bound + 1)
+                    for v in sieve(part, lo, hi):
+                        yield part + pw[v], acc + (tuple(vals + [v]),)
+                    budget.spend(hi - lo + 1)
                 return
             budget.spend(1)
             # slots slot..top all hold >= v, and a pinned top holds bound
@@ -372,21 +433,31 @@ def _iter_reps(
     budget = _Budget(node_budget, deadline)
     cap = _cap(lhs, rhs, n, eq.degree)
     for scan in _scans(lhs + rhs, n, eq.degree, closing, cap):
-        mat_lhs = _est_reps(lhs, scan) <= _est_reps(rhs, scan)
+        est_lhs, est_rhs = _est_reps(lhs, scan), _est_reps(rhs, scan)
+        mat_lhs = est_lhs <= est_rhs
         mat_groups, stream_groups = (lhs, rhs) if mat_lhs else (rhs, lhs)
+        if min(est_lhs, est_rhs) > MATERIALIZE_CAP and cap >= sum(
+            scan.powers[g.coefficient][scan.bound[g]] * g.size for g in mat_groups
+        ):
+            # no assignment exceeds cap, so the estimate is the exact count
+            raise _too_dense()
         table: dict[int, list] = {}
         count = 0
         for total, vals in _iter_side(mat_groups, scan, cap, None, budget):
             table.setdefault(total, []).append(vals)
             count += 1
             if count > MATERIALIZE_CAP:
-                raise SolutionCapError(
-                    f"equation too dense to enumerate: one side has more than "
-                    f"MATERIALIZE_CAP={MATERIALIZE_CAP} assignments"
-                )
+                raise _too_dense()
         for total, svals in _iter_side(stream_groups, scan, cap, table, budget):
             for mvals in table[total]:
                 yield (mvals, svals) if mat_lhs else (svals, mvals)
+
+
+def _too_dense() -> SolutionCapError:
+    return SolutionCapError(
+        f"equation too dense to enumerate: one side has more than "
+        f"MATERIALIZE_CAP={MATERIALIZE_CAP} assignments"
+    )
 
 
 def _rep_constrained(lhs, rhs, rep) -> tuple[int, ...]:
@@ -398,24 +469,17 @@ def _rep_constrained(lhs, rhs, rep) -> tuple[int, ...]:
     return tuple(vals)
 
 
-def _rep_to_solution(eq: Equation, rep) -> SolutionTuple:
-    lhs, rhs = _plan(eq)
+def _rep_to_solution(lhs, rhs, rep) -> SolutionTuple:
     values: dict[str, int] = {}
     free_values: dict[str, int] = {}
-    for groups, side_vals in zip((lhs, rhs), rep):
-        for g, gv in zip(groups, side_vals):
-            target = free_values if g.is_free else values
-            for name, v in zip(g.names, gv):
-                target[name] = v
+    for g, gv in zip(lhs + rhs, rep[0] + rep[1]):
+        (free_values if g.is_free else values).update(zip(g.names, gv))
     return SolutionTuple(values, free_values)
 
 
-def _distinct_ok(eq: Equation, rep) -> bool:
-    if not eq.distinct_required:
-        return True
-    lhs, rhs = _plan(eq)
+def _has_repeat(lhs, rhs, rep) -> bool:
     vals = _rep_constrained(lhs, rhs, rep)
-    return len(set(vals)) == len(vals)
+    return len(set(vals)) != len(vals)
 
 
 def iter_canonical_solutions(eq: Equation, n: int, node_budget: int | None = None):
@@ -424,9 +488,11 @@ def iter_canonical_solutions(eq: Equation, n: int, node_budget: int | None = Non
     Permutations of values across interchangeable variables are collapsed;
     use enumerate_solutions for the full ordered listing.
     """
+    lhs, rhs = _plan(eq)
+    distinct = eq.distinct_required
     for rep in _iter_reps(eq, n, node_budget):
-        if _distinct_ok(eq, rep):
-            yield _rep_to_solution(eq, rep)
+        if not (distinct and _has_repeat(lhs, rhs, rep)):
+            yield _rep_to_solution(lhs, rhs, rep)
 
 
 def enumerate_solutions(eq: Equation, n: int, limit: int = MAX_SOLUTIONS) -> list[SolutionTuple]:
@@ -437,22 +503,23 @@ def enumerate_solutions(eq: Equation, n: int, limit: int = MAX_SOLUTIONS) -> lis
     SolutionCapError when the ordered listing would exceed limit entries.
     """
     lhs, rhs = _plan(eq)
+    distinct = eq.distinct_required
     order = eq.variables
     out = []
     total = 0
     for rep in _iter_reps(eq, n):
-        if not _distinct_ok(eq, rep):
+        if distinct and _has_repeat(lhs, rhs, rep):
             continue
         expansions = 1
-        for groups, side_vals in zip((lhs, rhs), rep):
-            for g, gv in zip(groups, side_vals):
+        for side_vals in rep:
+            for gv in side_vals:
                 expansions *= _n_perms(gv)
         total += expansions
         if total > limit:
             raise SolutionCapError(
                 f"listing exceeds {limit} solutions; raise limit or lower n"
             )
-        out.extend(_expand(eq, lhs, rhs, rep))
+        out.extend(_expand(lhs, rhs, rep))
     out.sort(key=lambda s: tuple(
         s.values.get(v, s.free_values.get(v)) for v in order
     ))
@@ -486,23 +553,11 @@ def _distinct_perms(vals: tuple[int, ...]):
     yield from rec(len(vals))
 
 
-def _expand(eq, lhs, rhs, rep):
-    per_group = []
-    names = []
-    for groups, side_vals in zip((lhs, rhs), rep):
-        for g, gv in zip(groups, side_vals):
-            per_group.append(list(_distinct_perms(gv)))
-            names.append(g.names)
-    for combo in itertools.product(*per_group):
-        values: dict[str, int] = {}
-        free_values: dict[str, int] = {}
-        for g_names, g_vals in zip(names, combo):
-            for name, v in zip(g_names, g_vals):
-                if eq.is_free(name):
-                    free_values[name] = v
-                else:
-                    values[name] = v
-        yield SolutionTuple(values, free_values)
+def _expand(lhs, rhs, rep):
+    """Every assignment rep stands for: each group's values in every order."""
+    perms = [list(_distinct_perms(gv)) for side_vals in rep for gv in side_vals]
+    for combo in itertools.product(*perms):
+        yield _rep_to_solution(lhs, rhs, (combo[:len(lhs)], combo[len(lhs):]))
 
 
 def build_hyperedges(

@@ -124,6 +124,18 @@ def test_verify_past_enumeration_cap_is_malformed(monkeypatch):
     assert "MATERIALIZE_CAP=10" in verdict.reason
 
 
+def test_verify_refuses_dense_equation_before_scanning(monkeypatch):
+    # each side has exactly C(36, 7) = 8,347,680 assignments, all within
+    # the cap, so the refusal needs no scan
+    def scan(*args):
+        raise AssertionError("enumerated before refusing")
+
+    monkeypatch.setattr("rado.solutions._iter_side", scan)
+    verdict = verify(Certificate("a+b+c+d+e+f+g=h+i+j+k+l+m+o", 30, 2, (1,) * 30))
+    assert verdict.status == MALFORMED
+    assert "MATERIALIZE_CAP=5000000" in verdict.reason
+
+
 def test_parse_errors():
     with pytest.raises(CertificateError, match="header"):
         parse_certificate("bogus\n")

@@ -6,6 +6,7 @@ import pytest
 
 from rado.equations import parse_equation, family_equation
 from rado.solutions import (
+    EnumerationBudgetExceeded,
     OverflowGuardError,
     SolutionCapError,
     build_hyperedges,
@@ -189,6 +190,26 @@ def test_closing_edges_concatenate_to_one_shot():
         for n in range(1, top + 1):
             concatenated = tuple(e for edges in closing[:n] for e in edges)
             assert concatenated == build_hyperedges(eq, n).edges, (eq.render(), n)
+
+
+@pytest.mark.parametrize("modulus", (5040, 12))
+def test_sieve_engaged_at_small_n(monkeypatch, modulus):
+    # the residue sieve's gate opens only near n=1500 for squares; force
+    # it open, with the real modulus and with one small enough that
+    # residue classes hold many values, and rerun both oracles
+    monkeypatch.setattr("rado.solutions._residue_classes", lambda coef, degree: 0)
+    monkeypatch.setattr("rado.solutions.SIEVE_MODULUS", modulus)
+    test_completeness_random_equations()
+    test_closing_edges_concatenate_to_one_shot()
+
+
+def test_sieve_charges_the_plain_scan_budget():
+    # n=2000 is past the sieve's gate; the budget still counts every value
+    # the plain scan would probe, so backend choices stay the same
+    eq = parse_equation("x^2+y^2=z^2")
+    assert len(build_hyperedges(eq, 2000, node_budget=1_571_916)) == 1981
+    with pytest.raises(EnumerationBudgetExceeded):
+        build_hyperedges(eq, 2000, node_budget=1_571_915)
 
 
 def test_edges_pythagorean_13():
