@@ -120,7 +120,7 @@ def write_dimacs(inst: CnfInstance) -> str:
 
 def parse_dimacs(text: str) -> CnfInstance:
     """Read back an exported instance, header metadata included."""
-    meta: dict[str, str] = {}
+    meta: dict[str, str | int] = {}
     variable_count = None
     clause_count = None
     clauses: list[list[int]] = []
@@ -131,14 +131,15 @@ def parse_dimacs(text: str) -> CnfInstance:
         if line.startswith("c "):
             parts = line[2:].split(None, 1)
             if len(parts) == 2 and parts[0] in ("equation", "n", "r", "encoding"):
-                meta[parts[0]] = parts[1]
+                key, value = parts
+                meta[key] = _header_int(value, lineno, line) if key in ("n", "r") else value
             continue
         if line.startswith("p "):
             fields = line.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise CnfError(f"line {lineno}: bad problem line {line!r}")
-            variable_count = int(fields[2])
-            clause_count = int(fields[3])
+            variable_count = _header_int(fields[2], lineno, line)
+            clause_count = _header_int(fields[3], lineno, line)
             continue
         try:
             lits = [int(tok) for tok in line.split()]
@@ -162,12 +163,19 @@ def parse_dimacs(text: str) -> CnfInstance:
                 raise CnfError(f"literal {lit} out of range")
     return CnfInstance(
         equation=meta["equation"],
-        n=int(meta["n"]),
-        r=int(meta["r"]),
+        n=meta["n"],
+        r=meta["r"],
         encoding=meta["encoding"],
         variable_count=variable_count,
         clauses=clauses,
     )
+
+
+def _header_int(token: str, lineno: int, line: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise CnfError(f"line {lineno}: non-integer field in {line!r}") from None
 
 
 def parse_model(text: str) -> list[int]:

@@ -21,6 +21,12 @@ sieve yields the same values in the same order, and charges the budget
 what the plain scan would, so backend choices and deadline checks do not
 depend on it.  It is skipped for a pinned slot and below eight values per
 class, decided from one cached count per coefficient.
+
+A distinct: equation is enumerated like any other, and _iter_reps drops
+each representative with a repeated constrained value; no other
+enumeration path reads the marker.  dp_feasible decides a distinct:
+equation from the edges closing at its pivot, enumerated once per
+(equation, pivot) and cached.
 """
 
 from __future__ import annotations
@@ -430,6 +436,7 @@ def _iter_reps(
     total -> values table and streams the other side against it."""
     check_overflow(eq, n)
     lhs, rhs = _plan(eq)
+    distinct = eq.distinct_required
     budget = _Budget(node_budget, deadline)
     cap = _cap(lhs, rhs, n, eq.degree)
     for scan in _scans(lhs + rhs, n, eq.degree, closing, cap):
@@ -444,13 +451,29 @@ def _iter_reps(
         table: dict[int, list] = {}
         count = 0
         for total, vals in _iter_side(mat_groups, scan, cap, None, budget):
-            table.setdefault(total, []).append(vals)
             count += 1
             if count > MATERIALIZE_CAP:
                 raise _too_dense()
+            # distinct: a side that repeats a value is in no solution
+            if distinct and _value_set(mat_groups, vals) is None:
+                continue
+            table.setdefault(total, []).append(vals)
         for total, svals in _iter_side(stream_groups, scan, cap, table, budget):
-            for mvals in table[total]:
+            matches = table[total]
+            if distinct:
+                used = _value_set(stream_groups, svals)
+                if used is None:
+                    continue
+                matches = [m for m in matches if used.isdisjoint(_value_set(mat_groups, m))]
+            for mvals in matches:
                 yield (mvals, svals) if mat_lhs else (svals, mvals)
+
+
+def _value_set(groups, side_vals) -> set[int] | None:
+    """The constrained values of one side's assignment, None if one repeats."""
+    vals = [v for g, gv in zip(groups, side_vals) if not g.is_free for v in gv]
+    used = set(vals)
+    return used if len(used) == len(vals) else None
 
 
 def _too_dense() -> SolutionCapError:
@@ -477,11 +500,6 @@ def _rep_to_solution(lhs, rhs, rep) -> SolutionTuple:
     return SolutionTuple(values, free_values)
 
 
-def _has_repeat(lhs, rhs, rep) -> bool:
-    vals = _rep_constrained(lhs, rhs, rep)
-    return len(set(vals)) != len(vals)
-
-
 def iter_canonical_solutions(eq: Equation, n: int, node_budget: int | None = None):
     """One SolutionTuple per canonical representative (group-sorted values).
 
@@ -489,10 +507,8 @@ def iter_canonical_solutions(eq: Equation, n: int, node_budget: int | None = Non
     use enumerate_solutions for the full ordered listing.
     """
     lhs, rhs = _plan(eq)
-    distinct = eq.distinct_required
     for rep in _iter_reps(eq, n, node_budget):
-        if not (distinct and _has_repeat(lhs, rhs, rep)):
-            yield _rep_to_solution(lhs, rhs, rep)
+        yield _rep_to_solution(lhs, rhs, rep)
 
 
 def enumerate_solutions(eq: Equation, n: int, limit: int = MAX_SOLUTIONS) -> list[SolutionTuple]:
@@ -503,13 +519,10 @@ def enumerate_solutions(eq: Equation, n: int, limit: int = MAX_SOLUTIONS) -> lis
     SolutionCapError when the ordered listing would exceed limit entries.
     """
     lhs, rhs = _plan(eq)
-    distinct = eq.distinct_required
     order = eq.variables
     out = []
     total = 0
     for rep in _iter_reps(eq, n):
-        if distinct and _has_repeat(lhs, rhs, rep):
-            continue
         expansions = 1
         for side_vals in rep:
             for gv in side_vals:
@@ -583,10 +596,7 @@ def build_hyperedges(
     lhs, rhs = _plan(eq)
     seen = set()
     for rep in _iter_reps(eq, n, node_budget, closing, deadline):
-        vals = _rep_constrained(lhs, rhs, rep)
-        if eq.distinct_required and len(set(vals)) != len(vals):
-            continue
-        edge = tuple(sorted(set(vals)))
+        edge = tuple(sorted(set(_rep_constrained(lhs, rhs, rep))))
         if edge not in seen:
             seen.add(edge)
             if edge_cap is not None and len(seen) > edge_cap:
@@ -621,13 +631,20 @@ def edges_to_json(eq: Equation, edge_set: EdgeSet) -> dict:
     }
 
 
+@lru_cache(maxsize=256)
+def _closing_edges(eq: Equation, pivot: int) -> tuple[tuple[int, ...], ...]:
+    return build_hyperedges(eq, pivot, closing=True).edges
+
+
 def dp_feasible(eq: Equation, class_values, pivot: int) -> bool:
     """True iff some solution uses only class_values for its constrained
     variables with maximum value exactly pivot (repetition allowed unless
     the equation requires distinct values).
 
     Free variables may take any positive integer.  Computed by reachability
-    over weighted power sums with pivot forced into at least one slot.
+    over weighted power sums with pivot forced into at least one slot; for
+    a distinct: equation, by looking for an edge closing at pivot within
+    the class, from the closing edges cached per (equation, pivot).
     """
     values = sorted(set(class_values))
     if not values or values[0] < 1:
@@ -639,7 +656,8 @@ def dp_feasible(eq: Equation, class_values, pivot: int) -> bool:
     check_overflow(eq, pivot)
 
     if eq.distinct_required:
-        return _distinct_feasible(eq, values, pivot)
+        cls = set(values)
+        return any(cls.issuperset(e) for e in _closing_edges(eq, pivot))
 
     lhs, rhs = _plan(eq)
     degree = eq.degree
@@ -670,35 +688,3 @@ def dp_feasible(eq: Equation, class_values, pivot: int) -> bool:
     a_l, b_l = side_masks(lhs)
     a_r, b_r = side_masks(rhs)
     return bool((b_l & a_r) | (a_l & b_r))
-
-
-def _distinct_feasible(eq: Equation, values, pivot: int) -> bool:
-    """Exhaustive feasibility for distinct-valued solutions (small inputs)."""
-    lhs, rhs = _plan(eq)
-    slots = []
-    for sign, groups in ((1, lhs), (-1, rhs)):
-        for g in groups:
-            slots.extend((sign, g.coefficient, g.is_free) for _ in range(g.size))
-    degree = eq.degree
-    cap = _cap(lhs, rhs, pivot, degree)
-
-    def rec(i, diff, used, pivot_used):
-        if i == len(slots):
-            return diff == 0 and pivot_used
-        sign, coef, is_free = slots[i]
-        if is_free:
-            v = 1
-            while coef * v**degree <= cap:
-                if rec(i + 1, diff + sign * coef * v**degree, used, pivot_used):
-                    return True
-                v += 1
-            return False
-        for v in values:
-            if v in used:
-                continue
-            if rec(i + 1, diff + sign * coef * v**degree, used | {v},
-                   pivot_used or v == pivot):
-                return True
-        return False
-
-    return rec(0, 0, frozenset(), False)

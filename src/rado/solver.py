@@ -133,7 +133,7 @@ class SearchParams:
     def __post_init__(self):
         if self.n_cap < 1:
             raise SolverError(f"n_cap must be >= 1, got {self.n_cap}")
-        if self.time_budget <= 0:
+        if not self.time_budget > 0:          # NaN would meet no deadline
             raise SolverError("time_budget must be positive")
         if self.backend not in ("edge", "dp", "auto"):
             raise SolverError(f"unknown backend {self.backend!r}")
@@ -542,7 +542,8 @@ def compute_rado(
                 if params.backend == "edge":
                     raise SolverError(
                         f"edge backend refused at n={n}: more than {AUTO_EDGE_CAP} "
-                        "edges; use backend 'dp' or 'auto'"
+                        f"edges or {AUTO_NODE_BUDGET} enumeration nodes; "
+                        "use backend 'dp' or 'auto'"
                     ) from None
                 edges = None
             else:

@@ -74,6 +74,18 @@ def test_color_budget_exit_3(capsys):
     assert out.splitlines()[0] == "budget-exhausted"
 
 
+@pytest.mark.parametrize("argv", [
+    ("color", "x+y=z", "-n", "4", "-r", "2", "--timeout", "nan"),
+    ("rado", "x+y=z", "-r", "2", "--timeout", "nan"),
+    ("table", "--min-k", "3", "--max-k", "3", "-r", "2", "--timeout-per-k", "nan"),
+])
+def test_nan_timeout_exit_2(capsys, argv):
+    # a NaN budget would compare false against every deadline
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "time_budget" in err
+
+
 def test_rado_schur(capsys):
     code, out, _ = run(capsys, "rado", "x+y=z", "-r", "2")
     assert code == 0

@@ -184,6 +184,11 @@ def test_parse_dimacs_errors():
         parse_dimacs(text.replace("p cnf 2 3", "p cnf 2 4"))
     with pytest.raises(CnfError, match="end with 0"):
         parse_dimacs("c equation e\nc n 1\nc r 2\nc encoding binary\np cnf 1 1\n1\n")
+    # a non-integer header field is a CnfError with its line, not a ValueError
+    with pytest.raises(CnfError, match="line 1: non-integer"):
+        parse_dimacs("p cnf a 1\n1 0\n")
+    with pytest.raises(CnfError, match="line 2: non-integer"):
+        parse_dimacs("c equation e\nc n x\nc r 2\nc encoding binary\np cnf 1 1\n1 0\n")
 
 
 def test_imported_model_has_no_mono_edge():

@@ -329,6 +329,29 @@ def test_dp_feasible_free_variable():
         assert dp_feasible(eqd, {x, y}, piv)
 
 
+@pytest.mark.parametrize("text", [
+    "x+y=z", "x+2y=3z", "a+b+c=d", "x^2+y^2+z^2=w^2", "x+y=z+w",
+    "x+y+~a=z", "x+y=~a+z", "9x^2+16y^2=~n^2",
+])
+def test_dp_feasible_distinct_matches_naive(text):
+    # on distinct: dp_feasible reads the enumerator's closing edges, so it
+    # is checked against the plain scan, which shares nothing with it; in
+    # x+y=z+w and x+y=~a+z a value can repeat across the two sides
+    eq = parse_equation(text, distinct=True)
+    n = 14
+    value_sets = [
+        {v for k, v in asg.items() if not eq.is_free(k)}
+        for asg in naive_solutions(eq, n)
+    ]
+    rng = random.Random(text)
+    for _ in range(60):
+        pivot = rng.randint(1, n)
+        density = rng.random()
+        cls = {pivot} | {v for v in range(1, pivot) if rng.random() < density}
+        expected = any(max(vs) == pivot and vs <= cls for vs in value_sets)
+        assert dp_feasible(eq, cls, pivot) == expected, (text, sorted(cls), pivot)
+
+
 def test_canonical_iteration_collapses_permutations():
     eq = parse_equation("x^2+y^2=z^2")
     reps = list(iter_canonical_solutions(eq, 5))

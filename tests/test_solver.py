@@ -131,6 +131,16 @@ def test_search_traces_are_pinned(backend, text, distinct, n, r, trace, witness)
         assert_valid(eq, out.coloring)
 
 
+def test_dp_distinct_search_pinned():
+    # distinct: on dp reads the cached closing edges; the exhaustive search
+    # it replaced ran out of a 20 s budget after about 150 nodes here
+    eq = parse_equation("x^2+y^2+z^2=w^2", distinct=True)
+    out = find_coloring(eq, 60, 2, SearchParams(backend="dp", time_budget=10))
+    assert (out.verdict, out.stats.nodes, out.stats.propagations,
+            out.stats.max_depth) == (COLORABLE, 3076, 0, 60)
+    assert_valid(eq, out.coloring)
+
+
 class FakeClock:
     """Stands in for the time module: monotonic() returns now, which the
     test moves or which advances by step before every read, and counts
@@ -454,6 +464,17 @@ def test_param_validation():
         SearchParams(backend="cdcl")
     with pytest.raises(SolverError):
         SearchParams(n_cap=0)
+    # NaN fails every comparison, so it would switch the deadline off
+    with pytest.raises(SolverError):
+        SearchParams(time_budget=float("nan"))
+    SearchParams(time_budget=float("inf"))
+
+
+def test_edge_refusal_names_node_budget(monkeypatch):
+    # the closing scan is refused past either limit; the message names both
+    monkeypatch.setattr(solver, "AUTO_NODE_BUDGET", 50)
+    with pytest.raises(SolverError, match="50 enumeration nodes"):
+        compute_rado(family_equation(3), 2, SearchParams(backend="edge"))
 
 
 def test_symmetry_breaking_soundness():
