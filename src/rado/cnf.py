@@ -222,14 +222,21 @@ def import_model(model: list[int], inst: CnfInstance) -> Coloring:
         if abs(lit) > inst.variable_count:
             raise CnfError(f"model literal {lit} out of range")
         assigned[abs(lit)] = lit > 0
-    constrained = inst.constrained_variables()
+    constrained = None
+
+    def in_clauses(var: int) -> bool:
+        # a set over every literal, so built only once a variable is missing
+        nonlocal constrained
+        if constrained is None:
+            constrained = inst.constrained_variables()
+        return var in constrained
 
     colors: list[int] = []
     if inst.encoding == BINARY:
         for v in range(1, inst.n + 1):
             if v in assigned:
                 colors.append(2 if assigned[v] else 1)
-            elif v in constrained:
+            elif in_clauses(v):
                 raise CnfError(f"incomplete model: variable {v} unassigned")
             else:
                 colors.append(1)
@@ -243,7 +250,7 @@ def import_model(model: list[int], inst: CnfInstance) -> Coloring:
                 if var in assigned:
                     if assigned[var]:
                         true_colors.append(c)
-                elif var in constrained:
+                elif in_clauses(var):
                     missing = True
             if len(true_colors) > 1:
                 raise CnfError(

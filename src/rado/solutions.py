@@ -22,6 +22,15 @@ what the plain scan would, so backend choices and deadline checks do not
 depend on it.  It is skipped for a pinned slot and below eight values per
 class, decided from one cached count per coefficient.
 
+The streamed side's last group is pruned from below too.  A table of the
+power sums its remaining slots can add (_reach_rows) lets each looped
+slot skip a value from which no probe total can be reached.  It is built
+per pass only where at least two slots loop, and only while largest
+probe total x slots x bound is at most REACH_TABLE_CAP.  The yields and
+their order stay the same, but a pruned subtree is never entered and so
+never charged: a scan charges the enumeration budget less than it would
+without the table, and may finish under a node budget it would exceed.
+
 A distinct: equation is enumerated like any other, and _iter_reps drops
 each representative with a repeated constrained value; no other
 enumeration path reads the marker.  dp_feasible decides a distinct:
@@ -49,6 +58,9 @@ CLOCK_CHECK_NODES = 4096
 EXACT_PROBE_TOTALS = 4
 # the streamed side's innermost slot is sieved by residues of totals mod this
 SIEVE_MODULUS = 5040
+# the streamed side's last group is pruned by a reachability table only
+# while its size, top probe total x slots x bound bits, is at most this
+REACH_TABLE_CAP = 2**24
 
 
 class OverflowGuardError(ValueError):
@@ -292,6 +304,25 @@ def _residue_sieve(pw, bound, probe):
     return hits
 
 
+def _reach_rows(pw, bound, low, high, top):
+    """rows[m][lo] for low <= m <= high: bit s is set iff m non-decreasing
+    values in [lo, bound] have pw-sum m * pw[lo] + s.  Bits past
+    top - (m + 1) * pw[lo] are dropped: a slot that enters lo, with m
+    slots after it, cannot reach a total above top with them."""
+    mask = (1 << (top + 1)) - 1
+    # sums[m]: the pw-sums up to top of m values in [lo, bound]
+    sums = [1] + [0] * high
+    rows = {m: [0] * (bound + 1) for m in range(low, high + 1)}
+    for lo in range(bound, 0, -1):
+        for m in range(1, high + 1):
+            sums[m] = (sums[m] | sums[m - 1] << pw[lo]) & mask
+        for m, row in rows.items():
+            room = top - (m + 1) * pw[lo]
+            if room >= 0:
+                row[lo] = sums[m] >> (m * pw[lo]) & ((2 << room) - 1)
+    return rows
+
+
 class _Budget:
     """Node allowance of one enumeration, and optionally a deadline.
 
@@ -332,19 +363,39 @@ def _iter_side(groups, scan, cap, probe, budget):
     With a probe the innermost slot runs as a tight loop, so the scan cost
     stays close to raw arithmetic, or through the residue sieve where that
     pays; when the probe holds only a few totals the last slots are solved
-    for each of them instead.
+    for each of them instead.  Where two or more of the last group's slots
+    loop, they skip each value from which the slots left cannot reach a
+    probe total (_reach_rows), so a pruned subtree is never entered and
+    never charged to the budget.
     """
     tail_min = _tail_min(groups, scan)
     glast = len(groups) - 1
-    totals = sieve = None
-    if probe is not None and len(probe) <= EXACT_PROBE_TOTALS:
-        totals = sorted(probe)
-    elif probe is not None:
-        # the sieve pays from about eight values per residue class
+    totals = sieve = rows = None
+    if probe is not None:
         g = groups[glast]
+        pw = scan.powers[g.coefficient]
         bound = scan.bound[g]
-        if g != scan.pinned and _residue_classes(g.coefficient, scan.degree) * 8 <= bound:
-            sieve = _residue_sieve(scan.powers[g.coefficient], bound, probe)
+        pin = g == scan.pinned
+        if len(probe) <= EXACT_PROBE_TOTALS:
+            totals = sorted(probe)
+        elif not pin and _residue_classes(g.coefficient, scan.degree) * 8 <= bound:
+            # the sieve pays from about eight values per residue class
+            sieve = _residue_sieve(pw, bound, probe)
+        # the last group's slots scanned in a loop: neither the innermost
+        # one nor solved for few totals.  With one, a pruned value saves a
+        # single solve or innermost scan, about what building the table
+        # costs; no loop runs if the side's least total is past every
+        # probe total
+        looped = g.size - 1 - (totals is not None and not pin)
+        if (
+            looped > 1 and probe and tail_min[0] <= max(probe)
+            and max(probe) * g.size * bound <= REACH_TABLE_CAP
+        ):
+            # slot s leaves most - s free slots after its own
+            most = g.size - 1 - pin
+            pinned = pw[bound] if pin else 0
+            rows = _reach_rows(pw, bound, most - looped + 1, most, max(probe) - pinned)
+            want = sum(1 << t for t in probe) >> pinned
 
     def rec(gi, partial, acc):
         g = groups[gi]
@@ -410,6 +461,18 @@ def _iter_side(groups, scan, cap, probe, budget):
             mult = top - slot + 1 - pin
             limit = cap - later - (pw[bound] if pin else 0)
             v = lo
+            if last and rows is not None:
+                # enter v only if the mult - 1 free slots after it can
+                # bring part + pw[v] to a probe total
+                row = rows[mult - 1]
+                reach = want >> part
+                while v <= bound and part + pw[v] * mult <= limit:
+                    if (reach >> pw[v] * mult) & row[v]:
+                        vals.append(v)
+                        yield from fill(slot + 1, v, part + pw[v], vals)
+                        vals.pop()
+                    v += 1
+                return
             while v <= bound and part + pw[v] * mult <= limit:
                 vals.append(v)
                 yield from fill(slot + 1, v, part + pw[v], vals)
@@ -631,12 +694,20 @@ def edges_to_json(eq: Equation, edge_set: EdgeSet) -> dict:
     }
 
 
-@lru_cache(maxsize=256)
-def _closing_edges(eq: Equation, pivot: int) -> tuple[tuple[int, ...], ...]:
-    return build_hyperedges(eq, pivot, closing=True).edges
+# the closing edges dp_feasible read, by (equation, pivot), oldest first
+_closing_cache: dict[tuple[Equation, int], tuple[tuple[int, ...], ...]] = {}
 
 
-def dp_feasible(eq: Equation, class_values, pivot: int) -> bool:
+def _closing_edges(eq: Equation, pivot: int, deadline: float | None):
+    key = eq, pivot
+    if key not in _closing_cache:
+        if len(_closing_cache) >= 256:
+            del _closing_cache[next(iter(_closing_cache))]
+        _closing_cache[key] = build_hyperedges(eq, pivot, closing=True, deadline=deadline).edges
+    return _closing_cache[key]
+
+
+def dp_feasible(eq: Equation, class_values, pivot: int, deadline: float | None = None) -> bool:
     """True iff some solution uses only class_values for its constrained
     variables with maximum value exactly pivot (repetition allowed unless
     the equation requires distinct values).
@@ -644,7 +715,9 @@ def dp_feasible(eq: Equation, class_values, pivot: int) -> bool:
     Free variables may take any positive integer.  Computed by reachability
     over weighted power sums with pivot forced into at least one slot; for
     a distinct: equation, by looking for an edge closing at pivot within
-    the class, from the closing edges cached per (equation, pivot).
+    the class, from the closing edges cached per (equation, pivot).  That
+    scan raises EnumerationTimeout past a time.monotonic() deadline, and
+    nothing is cached then.
     """
     values = sorted(set(class_values))
     if not values or values[0] < 1:
@@ -657,7 +730,7 @@ def dp_feasible(eq: Equation, class_values, pivot: int) -> bool:
 
     if eq.distinct_required:
         cls = set(values)
-        return any(cls.issuperset(e) for e in _closing_edges(eq, pivot))
+        return any(cls.issuperset(e) for e in _closing_edges(eq, pivot, deadline))
 
     lhs, rhs = _plan(eq)
     degree = eq.degree

@@ -209,8 +209,11 @@ def _search(eq, n, r, edges, deadline) -> SearchOutcome:
         if _dp_fast(eq):
             checks = _dp_fast_checks(eq, n, r, color, stats)
         else:
-            checks = _dp_generic_checks(eq, r, color)
-    verdict = _backtrack(order, color, r, *checks, stats, deadline)
+            checks = _dp_generic_checks(eq, r, color, deadline)
+    try:
+        verdict = _backtrack(order, color, r, *checks, stats, deadline)
+    except EnumerationTimeout:            # in a distinct: dp_feasible scan
+        verdict = BUDGET_EXHAUSTED
     coloring = None
     if verdict == COLORABLE:
         # vertices on no edge are never searched and take color 1
@@ -469,7 +472,7 @@ def _dp_fast_checks(eq, n, r, color, stats):
     return candidates, place, undo
 
 
-def _dp_generic_checks(eq, r, color):
+def _dp_generic_checks(eq, r, color, deadline):
     """The dp path for other equations: a dp_feasible call per placement."""
     classes: list[list[int]] = [[] for _ in range(r + 1)]
 
@@ -480,7 +483,7 @@ def _dp_generic_checks(eq, r, color):
         color[v] = c
         classes[c].append(v)
         token = (v,), None
-        if dp_feasible(eq, classes[c], v):
+        if dp_feasible(eq, classes[c], v, deadline):
             undo(token)
             return None
         return token
@@ -521,35 +524,36 @@ def compute_rado(
             return _outcome(LOWER_BOUND, n, colors, r, bounds)
         n += 1
 
-        if below_first_edge:
-            # [1, n] has a solution iff one closes at exactly n
-            if not dp_feasible(eq, range(1, n + 1), n):
-                colors.append(1)
-                continue
-            below_first_edge = False
+        try:
+            if below_first_edge:
+                # [1, n] has a solution iff one closes at exactly n
+                if not dp_feasible(eq, range(1, n + 1), n, deadline):
+                    colors.append(1)
+                    continue
+                below_first_edge = False
 
-        t0 = time.monotonic()
-        closing = None
-        if edges is not None:
-            try:
-                closing = build_hyperedges(
-                    eq, n, closing=True, node_budget=AUTO_NODE_BUDGET,
-                    edge_cap=AUTO_EDGE_CAP - len(edges), deadline=deadline,
-                ).edges
-            except EnumerationTimeout:
-                return _outcome(LOWER_BOUND, n - 1, colors, r, bounds)
-            except EnumerationBudgetExceeded:
-                if params.backend == "edge":
-                    raise SolverError(
-                        f"edge backend refused at n={n}: more than {AUTO_EDGE_CAP} "
-                        f"edges or {AUTO_NODE_BUDGET} enumeration nodes; "
-                        "use backend 'dp' or 'auto'"
-                    ) from None
-                edges = None
-            else:
-                edges.extend(closing)
+            t0 = time.monotonic()
+            closing = None
+            if edges is not None:
+                try:
+                    closing = build_hyperedges(
+                        eq, n, closing=True, node_budget=AUTO_NODE_BUDGET,
+                        edge_cap=AUTO_EDGE_CAP - len(edges), deadline=deadline,
+                    ).edges
+                except EnumerationBudgetExceeded:
+                    if params.backend == "edge":
+                        raise SolverError(
+                            f"edge backend refused at n={n}: more than {AUTO_EDGE_CAP} "
+                            f"edges or {AUTO_NODE_BUDGET} enumeration nodes; "
+                            "use backend 'dp' or 'auto'"
+                        ) from None
+                    edges = None
+                else:
+                    edges.extend(closing)
 
-        c = _try_extend(eq, colors, n, r, closing)
+            c = _try_extend(eq, colors, n, r, closing, deadline)
+        except EnumerationTimeout:
+            return _outcome(LOWER_BOUND, n - 1, colors, r, bounds)
         if c is not None:
             colors.append(c)
             bounds.append(BoundReport(
@@ -579,7 +583,7 @@ def _outcome(kind, value, colors, r, bounds) -> RadoOutcome:
     return RadoOutcome(kind, value, Coloring(len(colors), r, tuple(colors)), bounds)
 
 
-def _try_extend(eq, colors, n, r, closing):
+def _try_extend(eq, colors, n, r, closing, deadline):
     """The color that extends the witness colors of [1, n-1] to n, or None.
 
     closing holds the edges whose largest value is n, or None on the dp
@@ -602,7 +606,7 @@ def _try_extend(eq, colors, n, r, closing):
     for c in range(1, r + 1):
         cls = [v for v in range(1, n) if colors[v - 1] == c]
         cls.append(n)
-        if not dp_feasible(eq, cls, n):
+        if not dp_feasible(eq, cls, n, deadline):
             return c
     return None
 

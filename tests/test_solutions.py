@@ -6,6 +6,7 @@ import pytest
 
 from rado.equations import parse_equation, family_equation
 from rado.solutions import (
+    REACH_TABLE_CAP,
     EnumerationBudgetExceeded,
     OverflowGuardError,
     SolutionCapError,
@@ -210,6 +211,34 @@ def test_sieve_charges_the_plain_scan_budget():
     assert len(build_hyperedges(eq, 2000, node_budget=1_571_916)) == 1981
     with pytest.raises(EnumerationBudgetExceeded):
         build_hyperedges(eq, 2000, node_budget=1_571_915)
+
+
+def test_reach_table_off(monkeypatch):
+    # the streamed side's reachability table prunes only subtrees that
+    # yield nothing: with it never built the oracles give the same answers
+    monkeypatch.setattr("rado.solutions.REACH_TABLE_CAP", -1)
+    test_completeness_random_equations()
+    test_closing_edges_concatenate_to_one_shot()
+
+
+def test_reach_table_shifted_past_a_pinned_slot():
+    # pass 0 of each closing scan streams the pinned lhs group against
+    # the few values of the rhs, so the table must allow for the pinned
+    # slot's power; a one-shot scan pins nothing
+    for text, top in (("a+b+c=5d", 25), ("x^2+y^2+z^2+u^2=2w^2", 16)):
+        eq = parse_equation(text)
+        assert closing_prefix(eq, top) == build_hyperedges(eq, top).edges, text
+
+
+@pytest.mark.parametrize("table_cap, charge", [(REACH_TABLE_CAP, 1431), (-1, 6479)])
+def test_reach_table_spares_the_budget(monkeypatch, table_cap, charge):
+    # a pruned subtree is never entered, so it is not charged: the k=9
+    # closing scan at n=15 costs 1,431 nodes with the table, 6,479 without
+    monkeypatch.setattr("rado.solutions.REACH_TABLE_CAP", table_cap)
+    eq = family_equation(9)
+    assert len(build_hyperedges(eq, 15, closing=True, node_budget=charge)) == 140
+    with pytest.raises(EnumerationBudgetExceeded):
+        build_hyperedges(eq, 15, closing=True, node_budget=charge - 1)
 
 
 def test_edges_pythagorean_13():

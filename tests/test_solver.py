@@ -285,6 +285,52 @@ def test_find_coloring_deadline_covers_enumeration(monkeypatch, backend):
     assert out.stats.nodes == 0
 
 
+def late_closing_scan(monkeypatch, clock, pivot):
+    """Run dp_feasible's closing scans on clock, past the deadline from
+    the scan at pivot on; returns the pivots whose scan timed out."""
+    monkeypatch.setattr(solutions, "_closing_cache", {})
+    scan = solutions.build_hyperedges
+    timed_out = []
+
+    def late(eq, n, **kwargs):
+        if n == pivot:
+            clock.now = 1000.0     # the deadline passes inside this scan
+        try:
+            return scan(eq, n, **kwargs)
+        except EnumerationTimeout:
+            timed_out.append(n)
+            raise
+
+    monkeypatch.setattr(solutions, "build_hyperedges", late)
+    return timed_out
+
+
+def test_find_coloring_deadline_covers_dp_distinct_scans(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(solver, "time", clock)
+    monkeypatch.setattr(solutions, "time", clock)
+    timed_out = late_closing_scan(monkeypatch, clock, 10)
+    eq = parse_equation("x+y=z", distinct=True)
+    out = find_coloring(eq, 20, 3, SearchParams(backend="dp", time_budget=100))
+    assert timed_out == [10]
+    assert (out.verdict, out.backend, out.coloring) == (BUDGET_EXHAUSTED, "dp", None)
+    assert (eq, 10) not in solutions._closing_cache
+    assert (eq, 9) in solutions._closing_cache
+
+
+@pytest.mark.parametrize("pivot", [2, 6])    # below the first edge; warm extension
+def test_rado_deadline_covers_dp_distinct_scans(monkeypatch, pivot):
+    clock = FakeClock()
+    monkeypatch.setattr(solver, "time", clock)
+    monkeypatch.setattr(solutions, "time", clock)
+    timed_out = late_closing_scan(monkeypatch, clock, pivot)
+    eq = parse_equation("x+y=z", distinct=True)
+    out = compute_rado(eq, 2, SearchParams(backend="dp", time_budget=100))
+    assert timed_out == [pivot]
+    assert (out.kind, out.value, out.witness.n) == (LOWER_BOUND, pivot - 1, pivot - 1)
+    assert_valid(eq, out.witness)
+
+
 def test_determinism():
     eq = family_equation(3)
     a = find_coloring(eq, 40, 2)
