@@ -13,11 +13,17 @@ n*(1 + r*(r-1)/2) + |E|*r + 1 (the +1 symmetry unit is omitted when the
 edge set is empty).  Emission order is fixed so exports are byte-stable:
 symmetry unit, per-vertex clauses ascending, per-edge clauses in edge-set
 order.
+
+Literals are converted once per distinct text through a memo, both ways,
+so parsing holds the tokens seen, whatever the declared variable count.
+parse_dimacs accepts only headers export_cnf can write: n >= 1, r >= 1,
+binary (r=2, n variables) or direct (n*r variables); else CnfError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 
 from .equations import Equation
 from .solutions import EdgeSet
@@ -31,6 +37,17 @@ DIRECT = "direct"
 
 class CnfError(ValueError):
     """Malformed CNF file, model, or encoding request."""
+
+
+class _Memo(dict):
+    """key -> convert(key), each key converted on its first lookup."""
+
+    def __init__(self, convert):
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value
 
 
 @dataclass
@@ -57,14 +74,9 @@ def export_cnf(
 
     encoding defaults to binary for r=2 and direct otherwise.
     """
-    if r < 1:
-        raise CnfError(f"r must be >= 1, got {r}")
     if encoding is None:
         encoding = BINARY if r == 2 else DIRECT
-    if encoding not in (BINARY, DIRECT):
-        raise CnfError(f"unknown encoding {encoding!r}")
-    if encoding == BINARY and r != 2:
-        raise CnfError("binary encoding requires r=2")
+    _check_encoding(r, encoding)
 
     n = edges.n
     smallest = min((e[0] for e in edges.edges), default=None)
@@ -74,8 +86,7 @@ def export_cnf(
         if smallest is not None:
             clauses.append([-smallest])
         for e in edges.edges:
-            clauses.append([v for v in e])
-            clauses.append([-v for v in e])
+            clauses += [list(e), [-v for v in e]]
         variable_count = n
     else:
         # neg[c][i] is the literal "vertex i does not have color c + 1"
@@ -84,22 +95,13 @@ def export_cnf(
             clauses.append([-neg[0][smallest]])
         for i in range(1, n + 1):
             clauses.append([-row[i] for row in neg])
-            for c1 in range(r):
-                for c2 in range(c1 + 1, r):
-                    clauses.append([neg[c1][i], neg[c2][i]])
+            clauses.extend([a[i], b[i]] for a, b in combinations(neg, 2))
         for e in edges.edges:
             for row in neg:
                 clauses.append(list(map(row.__getitem__, e)))
         variable_count = n * r
 
-    return CnfInstance(
-        equation=eq.render(),
-        n=n,
-        r=r,
-        encoding=encoding,
-        variable_count=variable_count,
-        clauses=clauses,
-    )
+    return CnfInstance(eq.render(), n, r, encoding, variable_count, clauses)
 
 
 def write_dimacs(inst: CnfInstance) -> str:
@@ -113,8 +115,9 @@ def write_dimacs(inst: CnfInstance) -> str:
         f"c tool {TOOL_VERSION}",
         f"p cnf {inst.variable_count} {inst.clause_count}",
     ]
+    text = _Memo(str).__getitem__
     for clause in inst.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
+        lines.append(" ".join(map(text, clause)) + " 0")
     return "\n".join(lines) + "\n"
 
 
@@ -124,51 +127,66 @@ def parse_dimacs(text: str) -> CnfInstance:
     variable_count = None
     clause_count = None
     clauses: list[list[int]] = []
+    literal = _Memo(int).__getitem__
     for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("c "):
-            parts = line[2:].split(None, 1)
-            if len(parts) == 2 and parts[0] in ("equation", "n", "r", "encoding"):
-                key, value = parts
-                meta[key] = _header_int(value, lineno, line) if key in ("n", "r") else value
-            continue
-        if line.startswith("p "):
-            fields = line.split()
-            if len(fields) != 4 or fields[1] != "cnf":
-                raise CnfError(f"line {lineno}: bad problem line {line!r}")
-            variable_count = _header_int(fields[2], lineno, line)
-            clause_count = _header_int(fields[3], lineno, line)
-            continue
+        # only such a line can be blank, a comment or the problem line
+        if not line or line[0] in "cp" or line[0].isspace():
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("c "):
+                parts = line[2:].split(None, 1)
+                if len(parts) == 2 and parts[0] in ("equation", "n", "r", "encoding"):
+                    key, value = parts
+                    if key in ("n", "r"):
+                        value = _header_int(value, lineno, line)
+                    meta[key] = value
+                continue
+            if line.startswith("p "):
+                fields = line.split()
+                if len(fields) != 4 or fields[1] != "cnf":
+                    raise CnfError(f"line {lineno}: bad problem line {line!r}")
+                variable_count = _header_int(fields[2], lineno, line)
+                clause_count = _header_int(fields[3], lineno, line)
+                continue
         try:
-            lits = [int(tok) for tok in line.split()]
+            lits = list(map(literal, line.split()))
         except ValueError:
-            raise CnfError(f"line {lineno}: bad clause {line!r}") from None
-        if not lits or lits[-1] != 0:
+            raise CnfError(f"line {lineno}: bad clause {line.strip()!r}") from None
+        if lits.pop() != 0:
             raise CnfError(f"line {lineno}: clause must end with 0")
-        clauses.append(lits[:-1])
+        clauses.append(lits)
     if variable_count is None:
         raise CnfError("missing problem line")
     if clause_count != len(clauses):
-        raise CnfError(
-            f"problem line declares {clause_count} clauses, found {len(clauses)}"
-        )
+        raise CnfError(f"problem line declares {clause_count} clauses, found {len(clauses)}")
     for key in ("equation", "n", "r", "encoding"):
         if key not in meta:
             raise CnfError(f"missing 'c {key}' header comment")
-    for clause in clauses:
-        for lit in clause:
+    n, r, encoding = meta["n"], meta["r"], meta["encoding"]
+    if n < 1:
+        raise CnfError(f"n must be >= 1, got {n}")
+    _check_encoding(r, encoding)
+    expected = n if encoding == BINARY else n * r
+    if variable_count != expected:
+        raise CnfError(f"problem line declares {variable_count} variables, "
+                       f"{encoding} encoding of n={n}, r={r} has {expected}")
+    used = set(chain.from_iterable(clauses))
+    if used and (0 in used or max(used) > variable_count or min(used) < -variable_count):
+        # the ordered scan names the first offending literal
+        for lit in chain.from_iterable(clauses):
             if lit == 0 or abs(lit) > variable_count:
                 raise CnfError(f"literal {lit} out of range")
-    return CnfInstance(
-        equation=meta["equation"],
-        n=meta["n"],
-        r=meta["r"],
-        encoding=meta["encoding"],
-        variable_count=variable_count,
-        clauses=clauses,
-    )
+    return CnfInstance(meta["equation"], n, r, encoding, variable_count, clauses)
+
+
+def _check_encoding(r: int, encoding: str) -> None:
+    if r < 1:
+        raise CnfError(f"r must be >= 1, got {r}")
+    if encoding not in (BINARY, DIRECT):
+        raise CnfError(f"unknown encoding {encoding!r}")
+    if encoding == BINARY and r != 2:
+        raise CnfError("binary encoding requires r=2")
 
 
 def _header_int(token: str, lineno: int, line: str) -> int:
@@ -180,9 +198,7 @@ def _header_int(token: str, lineno: int, line: str) -> int:
 
 def parse_model(text: str) -> list[int]:
     """Accept DIMACS 'v'-lines or a bare literal list; 0 terminates."""
-    v_lines = [
-        line[1:] for line in text.splitlines() if line.startswith(("v ", "v\t"))
-    ]
+    v_lines = [line[1:] for line in text.splitlines() if line.startswith(("v ", "v\t"))]
     if v_lines:
         tokens = " ".join(v_lines).split()
     else:
@@ -234,34 +250,21 @@ def import_model(model: list[int], inst: CnfInstance) -> Coloring:
     colors: list[int] = []
     if inst.encoding == BINARY:
         for v in range(1, inst.n + 1):
-            if v in assigned:
-                colors.append(2 if assigned[v] else 1)
-            elif in_clauses(v):
+            if v not in assigned and in_clauses(v):
                 raise CnfError(f"incomplete model: variable {v} unassigned")
-            else:
-                colors.append(1)
+            colors.append(2 if assigned.get(v) else 1)
     elif inst.encoding == DIRECT:
         r = inst.r
         for v in range(1, inst.n + 1):
-            true_colors = []
-            missing = False
-            for c in range(1, r + 1):
-                var = (v - 1) * r + c
-                if var in assigned:
-                    if assigned[var]:
-                        true_colors.append(c)
-                elif in_clauses(var):
-                    missing = True
+            own = range((v - 1) * r + 1, v * r + 1)
+            true_colors = [c for c, var in enumerate(own, 1) if assigned.get(var)]
             if len(true_colors) > 1:
                 raise CnfError(
                     f"vertex {v} assigned colors {true_colors}: at-most-one violated"
                 )
-            if true_colors:
-                colors.append(true_colors[0])
-            elif missing:
+            if not true_colors and any(x not in assigned and in_clauses(x) for x in own):
                 raise CnfError(f"incomplete model: vertex {v} has no color")
-            else:
-                colors.append(1)
+            colors.append(true_colors[0] if true_colors else 1)
     else:
         raise CnfError(f"unknown encoding {inst.encoding!r}")
     return Coloring(inst.n, inst.r, tuple(colors))
@@ -269,14 +272,11 @@ def import_model(model: list[int], inst: CnfInstance) -> Coloring:
 
 def coloring_to_model(coloring: Coloring, inst: CnfInstance) -> list[int]:
     """The model a SAT solver would report for this coloring."""
-    lits: list[int] = []
     if inst.encoding == BINARY:
-        for v in range(1, inst.n + 1):
-            lits.append(v if coloring.color_of(v) == 2 else -v)
-    else:
-        r = inst.r
-        for v in range(1, inst.n + 1):
-            for c in range(1, r + 1):
-                var = (v - 1) * r + c
-                lits.append(var if coloring.color_of(v) == c else -var)
-    return lits
+        return [v if coloring.color_of(v) == 2 else -v for v in range(1, inst.n + 1)]
+    r = inst.r
+    return [
+        var if coloring.color_of(v) == c else -var
+        for v in range(1, inst.n + 1)
+        for c, var in enumerate(range((v - 1) * r + 1, v * r + 1), 1)
+    ]

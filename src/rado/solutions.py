@@ -40,12 +40,13 @@ equation from the edges closing at its pivot, enumerated once per
 
 from __future__ import annotations
 
-import itertools
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, inf, isqrt
+from itertools import chain, compress, product
+from math import comb, factorial, inf, isqrt, prod
+from operator import itemgetter
 
 from .equations import Equation
 
@@ -546,21 +547,21 @@ def _too_dense() -> SolutionCapError:
     )
 
 
-def _rep_constrained(lhs, rhs, rep) -> tuple[int, ...]:
-    vals = []
-    for groups, side_vals in zip((lhs, rhs), rep):
-        for g, gv in zip(groups, side_vals):
-            if not g.is_free:
-                vals.extend(gv)
-    return tuple(vals)
-
-
-def _rep_to_solution(lhs, rhs, rep) -> SolutionTuple:
-    values: dict[str, int] = {}
-    free_values: dict[str, int] = {}
-    for g, gv in zip(lhs + rhs, rep[0] + rep[1]):
-        (free_values if g.is_free else values).update(zip(g.names, gv))
-    return SolutionTuple(values, free_values)
+def _to_solutions(lhs, rhs, reps):
+    """One SolutionTuple per representative, the names read off the plan once."""
+    groups = lhs + rhs
+    names = [x for g in groups if not g.is_free for x in g.names]
+    free = [g.is_free for g in groups]
+    if not any(free):
+        for lv, rv in reps:
+            yield SolutionTuple(dict(zip(names, chain(*lv, *rv))), {})
+        return
+    keep = [not f for f in free]
+    free_names = [x for g in groups if g.is_free for x in g.names]
+    for lv, rv in reps:
+        vals = lv + rv
+        yield SolutionTuple(dict(zip(names, chain(*compress(vals, keep)))),
+                            dict(zip(free_names, chain(*compress(vals, free)))))
 
 
 def iter_canonical_solutions(eq: Equation, n: int, node_budget: int | None = None):
@@ -569,9 +570,7 @@ def iter_canonical_solutions(eq: Equation, n: int, node_budget: int | None = Non
     Permutations of values across interchangeable variables are collapsed;
     use enumerate_solutions for the full ordered listing.
     """
-    lhs, rhs = _plan(eq)
-    for rep in _iter_reps(eq, n, node_budget):
-        yield _rep_to_solution(lhs, rhs, rep)
+    return _to_solutions(*_plan(eq), _iter_reps(eq, n, node_budget))
 
 
 def enumerate_solutions(eq: Equation, n: int, limit: int = MAX_SOLUTIONS) -> list[SolutionTuple]:
@@ -586,11 +585,7 @@ def enumerate_solutions(eq: Equation, n: int, limit: int = MAX_SOLUTIONS) -> lis
     out = []
     total = 0
     for rep in _iter_reps(eq, n):
-        expansions = 1
-        for side_vals in rep:
-            for gv in side_vals:
-                expansions *= _n_perms(gv)
-        total += expansions
+        total += prod(map(_n_perms, chain(*rep)))
         if total > limit:
             raise SolutionCapError(
                 f"listing exceeds {limit} solutions; raise limit or lower n"
@@ -632,8 +627,8 @@ def _distinct_perms(vals: tuple[int, ...]):
 def _expand(lhs, rhs, rep):
     """Every assignment rep stands for: each group's values in every order."""
     perms = [list(_distinct_perms(gv)) for side_vals in rep for gv in side_vals]
-    for combo in itertools.product(*perms):
-        yield _rep_to_solution(lhs, rhs, (combo[:len(lhs)], combo[len(lhs):]))
+    k = len(lhs)
+    return _to_solutions(lhs, rhs, ((c[:k], c[k:]) for c in product(*perms)))
 
 
 def build_hyperedges(
@@ -657,14 +652,18 @@ def build_hyperedges(
     EnumerationTimeout.
     """
     lhs, rhs = _plan(eq)
-    seen = set()
-    for rep in _iter_reps(eq, n, node_budget, closing, deadline):
-        edge = tuple(sorted(set(_rep_constrained(lhs, rhs, rep))))
-        if edge not in seen:
-            seen.add(edge)
-            if edge_cap is not None and len(seen) > edge_cap:
-                raise EnumerationBudgetExceeded()
-    edges = sorted(seen, key=lambda e: (e[-1], e))
+    keep = [not g.is_free for g in lhs + rhs]
+    free = not all(keep)
+    cap = inf if edge_cap is None else edge_cap
+    seen: set[tuple[int, ...]] = set()
+    for lv, rv in _iter_reps(eq, n, node_budget, closing, deadline):
+        # a free variable is no vertex: only the constrained groups key an edge
+        used = set().union(*compress(lv + rv, keep)) if free else set().union(*lv, *rv)
+        seen.add(tuple(sorted(used)))
+        if len(seen) > cap:
+            raise EnumerationBudgetExceeded()
+    edges = sorted(seen)
+    edges.sort(key=itemgetter(-1))  # stable, so in (largest value, tuple) order
     if minimize:
         edges = _minimize(edges)
     return EdgeSet(n=n, edges=tuple(edges), minimized=minimize)

@@ -14,7 +14,7 @@ from rado.certificate import (
     write_certificate,
 )
 from rado.equations import parse_equation
-from rado.solutions import build_hyperedges
+from rado.solutions import SolutionTuple, _iter_reps, _plan, build_hyperedges
 from rado.solver import COLORABLE, compute_rado, find_coloring
 
 
@@ -40,6 +40,51 @@ def test_invalid_reports_violation():
     assert verdict.status == INVALID
     eq = parse_equation("x+y=z")
     assert verdict.violation.render(eq) == "1+1=2"
+
+
+def group_by_group_solutions(eq, n):
+    """iter_canonical_solutions as it was built before: one dict update per
+    group, free groups into free_values."""
+    lhs, rhs = _plan(eq)
+    for rep in _iter_reps(eq, n):
+        values, free_values = {}, {}
+        for g, gv in zip(lhs + rhs, rep[0] + rep[1]):
+            (free_values if g.is_free else values).update(zip(g.names, gv))
+        yield SolutionTuple(values, free_values)
+
+
+@pytest.mark.parametrize("text,n,r", [
+    ("x+y=~z+w", 14, 2),
+    ("x^2+y^2=~a^2+2z^2", 30, 3),
+    ("x1^2+x2^2+x3^2+x4^2=y1^2+y2^2+y3^2", 12, 3),
+])
+def test_invalid_violation_is_the_first_monochromatic_solution(text, n, r):
+    eq = parse_equation(text)
+    rng = random.Random(text)
+    witness = find_coloring(eq, n, r).coloring
+    colorings = [tuple(rng.randint(1, r) for _ in range(n)) for _ in range(20)]
+    if witness is not None:
+        # one flipped vertex leaves few monochromatic solutions, so the
+        # first of them can come late in the scan
+        for v in rng.sample(range(n), min(n, 20)):
+            flipped = list(witness.colors)
+            flipped[v] = flipped[v] % r + 1
+            colorings.append(tuple(flipped))
+    invalid = 0
+    for colors in colorings:
+        chi = (0,) + colors
+        first = next((sol for sol in group_by_group_solutions(eq, n)
+                      if len({chi[v] for v in sol.values.values()}) == 1), None)
+        verdict = verify(Certificate(text, n, r, colors))
+        if first is None:
+            assert verdict.status == VALID
+            continue
+        invalid += 1
+        assert verdict.status == INVALID
+        assert verdict.violation == first
+        assert list(verdict.violation.values.items()) == list(first.values.items())
+        assert list(verdict.violation.free_values.items()) == list(first.free_values.items())
+    assert invalid >= 20
 
 
 def test_long_certificates_chunk_at_50():

@@ -191,6 +191,26 @@ def test_model_to_cert_pipeline(capsys, tmp_path):
     assert out.strip() == "valid"
 
 
+@pytest.mark.parametrize("edit", [
+    ("c r 2", "c r 3"),
+    ("c n 30", "c n 31"),
+    ("c encoding binary", "c encoding banana"),
+])
+def test_model_to_cert_rejects_inconsistent_header(capsys, tmp_path, edit):
+    cnf_path = tmp_path / "i.cnf"
+    model_path = tmp_path / "i.model"
+    code, _, _ = run(capsys, "export", "x^2+y^2=z^2", "-n", "30", "-r", "2",
+                     "-o", str(cnf_path))
+    assert code == 0
+    cnf_path.write_text(cnf_path.read_text().replace(*edit))
+    model_path.write_text(" ".join(str(-v) for v in range(1, 31)) + " 0\n")
+    code, _, err = run(capsys, "model-to-cert", str(cnf_path), str(model_path),
+                       "-o", str(tmp_path / "i.crt"))
+    assert code == 2
+    assert "error" in err.lower()
+    assert not (tmp_path / "i.crt").exists()
+
+
 def test_table_small(capsys):
     code, out, _ = run(capsys, "table", "--min-k", "4", "--max-k", "5",
                        "-r", "2", "--json")

@@ -1,6 +1,10 @@
 import random
+import time
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rado.cnf import (
     BINARY,
@@ -14,7 +18,7 @@ from rado.cnf import (
     write_dimacs,
 )
 from rado.equations import parse_equation
-from rado.solutions import build_hyperedges
+from rado.solutions import EdgeSet, build_hyperedges
 from rado.solver import COLORABLE, find_coloring
 
 
@@ -155,13 +159,41 @@ def test_export_deterministic():
     assert a.endswith("0\n") and not a.endswith("\n\n")
 
 
-def test_dimacs_parse_round_trip():
-    eq = parse_equation("x1^2+x2^2+x3^2=z^2")
-    edges = build_hyperedges(eq, 15)
-    for r, encoding in ((2, BINARY), (3, DIRECT)):
-        inst = export_cnf(eq, edges, r, encoding)
-        back = parse_dimacs(write_dimacs(inst))
-        assert back == inst
+@st.composite
+def edge_sets(draw):
+    """Random hyperedges over [1, n], in the (largest value, tuple) order
+    build_hyperedges returns."""
+    n = draw(st.integers(1, 30))
+    edges = draw(st.sets(
+        st.sets(st.integers(1, n), min_size=1, max_size=4).map(lambda e: tuple(sorted(e))),
+        max_size=40,
+    ))
+    return EdgeSet(n, tuple(sorted(edges, key=lambda e: (e[-1], e))))
+
+
+def reference_dimacs(inst):
+    header = (f"c rado-cnf v1\nc equation {inst.equation}\nc n {inst.n}\nc r {inst.r}\n"
+              f"c encoding {inst.encoding}\nc tool rado-solver 0.1.0\n"
+              f"p cnf {inst.variable_count} {len(inst.clauses)}\n")
+    return header + "".join(" ".join(map(str, c)) + " 0\n" for c in inst.clauses)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(edge_sets(), st.sampled_from([(2, BINARY), (2, DIRECT), (3, DIRECT)]))
+def test_dimacs_parse_round_trip(edges, encoding):
+    r, encoding = encoding
+    inst = export_cnf(parse_equation("x+y=z"), edges, r, encoding)
+    text = write_dimacs(inst)
+    assert text == reference_dimacs(inst)
+    assert parse_dimacs(text) == inst
+
+
+def test_write_dimacs_matches_reference_on_exports():
+    for text, n, r in (("x^2+y^2=z^2", 300, 2), ("x1^2+x2^2+x3^2=z^2", 25, 3),
+                       ("x+y=z", 40, 4)):
+        eq = parse_equation(text)
+        inst = export_cnf(eq, build_hyperedges(eq, n), r)
+        assert write_dimacs(inst) == reference_dimacs(inst)
 
 
 def test_parse_model_forms():
@@ -201,3 +233,173 @@ def test_imported_model_has_no_mono_edge():
     coloring = import_model(model, inst)
     for e in edges.edges:
         assert len({coloring.color_of(v) for v in e}) > 1
+
+
+def per_token_parse_dimacs(text):
+    """The parser as it was before the token memo and the header checks:
+    an int() per token and a second walk over every literal."""
+    meta = {}
+    variable_count = None
+    clause_count = None
+    clauses = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("c "):
+            parts = line[2:].split(None, 1)
+            if len(parts) == 2 and parts[0] in ("equation", "n", "r", "encoding"):
+                key, value = parts
+                meta[key] = header_int(value, lineno, line) if key in ("n", "r") else value
+            continue
+        if line.startswith("p "):
+            fields = line.split()
+            if len(fields) != 4 or fields[1] != "cnf":
+                raise CnfError(f"line {lineno}: bad problem line {line!r}")
+            variable_count = header_int(fields[2], lineno, line)
+            clause_count = header_int(fields[3], lineno, line)
+            continue
+        try:
+            lits = [int(tok) for tok in line.split()]
+        except ValueError:
+            raise CnfError(f"line {lineno}: bad clause {line!r}") from None
+        if not lits or lits[-1] != 0:
+            raise CnfError(f"line {lineno}: clause must end with 0")
+        clauses.append(lits[:-1])
+    if variable_count is None:
+        raise CnfError("missing problem line")
+    if clause_count != len(clauses):
+        raise CnfError(
+            f"problem line declares {clause_count} clauses, found {len(clauses)}"
+        )
+    for key in ("equation", "n", "r", "encoding"):
+        if key not in meta:
+            raise CnfError(f"missing 'c {key}' header comment")
+    for clause in clauses:
+        for lit in clause:
+            if lit == 0 or abs(lit) > variable_count:
+                raise CnfError(f"literal {lit} out of range")
+    return (meta["equation"], meta["n"], meta["r"], meta["encoding"], variable_count, clauses)
+
+
+def header_int(token, lineno, line):
+    try:
+        return int(token)
+    except ValueError:
+        raise CnfError(f"line {lineno}: non-integer field in {line!r}") from None
+
+
+@lru_cache(maxsize=None)
+def exported_text(text, n, r, encoding):
+    eq = parse_equation(text)
+    return write_dimacs(export_cnf(eq, build_hyperedges(eq, n), r, encoding))
+
+
+HEADER_LINES = 7
+EDITS = ("plus", "zeros", "tab", "crlf", "indent", "comment", "stray c", "inner zero",
+         "out of range", "non-integer", "no final zero", "blank")
+
+
+def edit_dimacs(text, edits, line_end):
+    """Apply (kind, line, token) edits to the clause lines of exported text,
+    then end each of them with line_end; the header is left alone, so it
+    stays consistent."""
+    lines = text.split("\n")[:-1]
+    variable_count = int(lines[HEADER_LINES - 1].split()[2])
+    for kind, at, k in edits:
+        i = HEADER_LINES + at % (len(lines) - HEADER_LINES + 1)
+        inserted = {"comment": "c a comment between clauses", "stray c": "c",
+                    "blank": " \t"}.get(kind)
+        if inserted is not None or i == len(lines):
+            lines.insert(i, inserted if inserted is not None else "1 0")
+            continue
+        toks = lines[i].split(" ")
+        j = k % len(toks)
+        if kind == "plus" and not toks[j].startswith("-"):
+            toks[j] = "+" + toks[j]
+        elif kind == "zeros":
+            toks[j] = toks[j].replace("-", "-00") if toks[j].startswith("-") else "00" + toks[j]
+        elif kind == "inner zero":
+            toks.insert(j, "0")
+        elif kind == "out of range":
+            toks[j] = str((variable_count + 1 + k % 3) * (-1) ** k)
+        elif kind == "non-integer":
+            toks[j] = ("x", "1.5", "--1", "1e3")[k % 4]
+        elif kind == "no final zero" and toks[-1] == "0":
+            toks.pop()
+        line = " ".join(toks)
+        if kind == "tab":
+            line = line.replace(" ", "\t", 1 + k % 2)
+        elif kind == "crlf":
+            line += "\r"
+        elif kind == "indent":
+            line = ("  ", "\t", " \t ")[k % 3] + line
+        lines[i] = line
+    lines[HEADER_LINES:] = [line + line_end for line in lines[HEADER_LINES:]]
+    return "\n".join(lines) + "\n"
+
+
+def parse_outcome(parse, text):
+    try:
+        inst = parse(text)
+    except CnfError as exc:
+        return "error", str(exc)
+    if isinstance(inst, tuple):
+        return "ok", inst
+    return "ok", (inst.equation, inst.n, inst.r, inst.encoding, inst.variable_count,
+                  inst.clauses)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from(["x+y=z", "x^2+y^2=z^2", "a+b+c=d", "x1^2+x2^2+x3^2=z^2"]),
+    st.integers(1, 16),
+    st.sampled_from([(2, BINARY), (2, DIRECT), (3, DIRECT)]),
+    # lines drawn from the first few too, so that edits meet on one line
+    st.lists(st.tuples(st.sampled_from(EDITS), st.integers(0, 3) | st.integers(0, 10**6),
+                       st.integers(0, 40)), max_size=4),
+    st.sampled_from(["", " ", "\t", "\r", " \t "]),
+)
+def test_parse_dimacs_matches_per_token_parser(text, n, encoding, edits, line_end):
+    r, encoding = encoding
+    edited = edit_dimacs(exported_text(text, n, r, encoding), edits, line_end)
+    assert parse_outcome(parse_dimacs, edited) == parse_outcome(per_token_parse_dimacs, edited)
+
+
+def test_parse_dimacs_names_first_out_of_range_literal():
+    head = "c equation x+y=z\nc n 2\nc r 2\nc encoding binary\np cnf 2 3\n"
+    with pytest.raises(CnfError, match="^literal 3 out of range$"):
+        parse_dimacs(head + "1 2 0\n-1 3 0\n-4 0\n")
+    with pytest.raises(CnfError, match="^literal -4 out of range$"):
+        parse_dimacs(head + "1 2 0\n-4 1 0\n3 0\n")
+    with pytest.raises(CnfError, match="^literal 0 out of range$"):
+        parse_dimacs(head + "1 2 0\n1 0 2 0\n-1 0\n")
+
+
+def test_parse_dimacs_huge_declared_variable_count():
+    text = ("c equation x+y=z\nc n 1000000000\nc r 2\nc encoding binary\n"
+            "p cnf 1000000000 1\n1 -1000000000 0\n")
+    start = time.perf_counter()
+    inst = parse_dimacs(text)
+    assert time.perf_counter() - start < 1.0
+    assert inst.variable_count == 1_000_000_000
+    assert inst.clauses == [[1, -1_000_000_000]]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("c equation e\nc n 10\nc r 2\nc encoding binary\np cnf 4 1\n1 0\n",
+     "declares 4 variables, binary encoding of n=10, r=2 has 10"),
+    ("c equation e\nc n 2\nc r 3\nc encoding binary\np cnf 2 1\n1 0\n",
+     "binary encoding requires r=2"),
+    ("c equation e\nc n 2\nc r 2\nc encoding banana\np cnf -3 0\n",
+     "unknown encoding 'banana'"),
+    ("c equation e\nc n 2\nc r 3\nc encoding direct\np cnf 2 1\n1 0\n",
+     "declares 2 variables, direct encoding of n=2, r=3 has 6"),
+    ("c equation e\nc n 0\nc r 2\nc encoding binary\np cnf 0 0\n",
+     "n must be >= 1, got 0"),
+    ("c equation e\nc n 2\nc r 0\nc encoding direct\np cnf 0 0\n",
+     "r must be >= 1, got 0"),
+], ids=["n-over-variables", "binary-r3", "banana", "direct-variables", "n0", "r0"])
+def test_parse_dimacs_rejects_inconsistent_header(text, message):
+    with pytest.raises(CnfError, match=message):
+        parse_dimacs(text)
