@@ -27,25 +27,20 @@ from .certificate import (
     MALFORMED,
     VALID,
     Certificate,
-    CertificateError,
-    Verdict,
     parse_certificate,
-    verify,
+    verify_text,
     write_certificate,
 )
 from .cnf import (
-    BINARY,
     DIRECT,
-    CnfError,
     export_cnf,
     import_model,
     parse_dimacs,
     parse_model,
     write_dimacs,
 )
-from .equations import EquationError, family_equation, parse_equation
+from .equations import family_equation, parse_equation
 from .solutions import (
-    OverflowGuardError,
     SolutionCapError,
     build_hyperedges,
     edges_to_json,
@@ -57,15 +52,14 @@ from .solver import (
     EXACT,
     RadoOutcome,
     SearchParams,
-    SolverError,
     compute_rado,
     find_coloring,
 )
 
 log = logging.getLogger("rado")
 
-INPUT_ERRORS = (EquationError, SolverError, CnfError, OverflowGuardError,
-                SolutionCapError, OSError, ValueError)
+# every library input error is a ValueError but SolutionCapError
+INPUT_ERRORS = (ValueError, SolutionCapError, OSError)
 
 
 def main(argv=None) -> int:
@@ -284,8 +278,7 @@ def cmd_rado(args) -> int:
 def cmd_export(args) -> int:
     eq = parse_equation(args.equation, distinct=args.distinct)
     edges = build_hyperedges(eq, args.n)
-    encoding = DIRECT if (args.direct or args.r != 2) else BINARY
-    inst = export_cnf(eq, edges, args.r, encoding)
+    inst = export_cnf(eq, edges, args.r, DIRECT if args.direct else None)
     with open(args.output, "w") as fh:
         fh.write(write_dimacs(inst))
     if args.json:
@@ -309,15 +302,11 @@ def cmd_export(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.file) as fh:
         text = fh.read()
-    cert = None
-    try:
-        cert = parse_certificate(text)
-        verdict = verify(cert)
-    except CertificateError as exc:
-        verdict = Verdict(MALFORMED, reason=str(exc))
+    verdict = verify_text(text)
     violation = None
     if verdict.violation is not None:
-        violation = verdict.violation.render(parse_equation(cert.equation))
+        eq = parse_equation(parse_certificate(text).equation)
+        violation = verdict.violation.render(eq)
     if args.json:
         print(json.dumps({
             "command": "verify",
@@ -341,9 +330,7 @@ def cmd_model_to_cert(args) -> int:
     with open(args.model) as fh:
         model = parse_model(fh.read())
     coloring = import_model(model, inst)
-    cert = Certificate.from_coloring(inst.equation, coloring, "colorable")
-    with open(args.output, "w") as fh:
-        fh.write(write_certificate(cert))
+    _write_cert(args.output, inst.equation, coloring, "colorable")
     if args.json:
         print(json.dumps({
             "command": "model-to-cert",

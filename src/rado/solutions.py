@@ -564,13 +564,13 @@ def _to_solutions(lhs, rhs, reps):
                             dict(zip(free_names, chain(*compress(vals, free)))))
 
 
-def iter_canonical_solutions(eq: Equation, n: int, node_budget: int | None = None):
+def iter_canonical_solutions(eq: Equation, n: int):
     """One SolutionTuple per canonical representative (group-sorted values).
 
     Permutations of values across interchangeable variables are collapsed;
     use enumerate_solutions for the full ordered listing.
     """
-    return _to_solutions(*_plan(eq), _iter_reps(eq, n, node_budget))
+    return _to_solutions(*_plan(eq), _iter_reps(eq, n))
 
 
 def enumerate_solutions(eq: Equation, n: int, limit: int = MAX_SOLUTIONS) -> list[SolutionTuple]:

@@ -152,7 +152,7 @@ def find_coloring(
     check_overflow(eq, n)
     deadline = time.monotonic() + params.time_budget
     try:
-        edges = _resolve_edges(eq, n, params.backend, deadline)
+        edges = _edges(eq, n, params.backend, deadline)
     except EnumerationTimeout:
         return SearchOutcome(BUDGET_EXHAUSTED, None, SearchStats(), "edge")
     start = time.monotonic()
@@ -168,31 +168,29 @@ def _validate(n: int, r: int) -> None:
         raise SolverError(f"r must be >= 1, got {r}")
 
 
-def _resolve_edges(eq: Equation, n: int, requested: str, deadline: float):
-    """Pick the backend: the edge list for the edge backend, None for dp.
-
-    Raises EnumerationTimeout if the deadline passes while enumerating."""
-    if requested == "dp":
+def _edges(eq, n, backend, deadline, closing=False, have=0):
+    """The edges of [1, n] (with closing, those whose largest value is n,
+    given have edges below n), or None for dp: auto moves to dp past
+    AUTO_EDGE_CAP edges in all or AUTO_NODE_BUDGET enumeration nodes, and
+    edge is refused past EDGE_BACKEND_CAP edges.  Raises
+    EnumerationTimeout if the deadline passes while enumerating."""
+    if backend == "dp":
         return None
-    if requested == "edge":
-        try:
-            es = build_hyperedges(
-                eq, n, edge_cap=EDGE_BACKEND_CAP, deadline=deadline
-            )
-        except EnumerationBudgetExceeded:
-            raise SolverError(
-                f"edge backend refused: more than {EDGE_BACKEND_CAP} edges; "
-                "use backend 'dp' or 'auto'"
-            ) from None
-        return list(es.edges)
+    auto = backend == "auto"
     try:
-        es = build_hyperedges(
-            eq, n, node_budget=AUTO_NODE_BUDGET, edge_cap=AUTO_EDGE_CAP,
+        return build_hyperedges(
+            eq, n, closing=closing,
+            node_budget=AUTO_NODE_BUDGET if auto else None,
+            edge_cap=(AUTO_EDGE_CAP if auto else EDGE_BACKEND_CAP) - have,
             deadline=deadline,
-        )
-        return list(es.edges)
+        ).edges
     except EnumerationBudgetExceeded:
-        return None
+        if auto:
+            return None
+        raise SolverError(
+            f"edge backend refused: more than {EDGE_BACKEND_CAP} edges; "
+            "use backend 'dp' or 'auto'"
+        ) from None
 
 
 def _search(eq, n, r, edges, deadline) -> SearchOutcome:
@@ -502,12 +500,12 @@ def compute_rado(
     """Increment n until [1, n] is uncolorable (Exact) or the cap or time
     budget is hit (LowerBound at the last colorable n).
 
-    Each new bound first tries extending the previous witness by each
-    color in turn (only solutions closing at n can break, so the check is
-    cheap); when no extension survives, a full search runs for that bound.
-    The edge list grows by the edges closing at each new n; auto moves to
-    the dp backend for good once [1, n] has more than AUTO_EDGE_CAP edges
-    or enumerating the closing ones exceeds AUTO_NODE_BUDGET.
+    Each new n first tries extending the previous witness by each color
+    in turn (only solutions closing at n can break, so the check is
+    cheap); when no extension survives, a full search runs for that n.
+    Bounds are reported from the first n that closes a solution.  The
+    edge list grows by the edges closing at each new n, under the backend
+    rule of find_coloring for [1, n]; once on dp, auto stays there.
     """
     params = params or SearchParams()
     _validate(1, r)
@@ -515,55 +513,36 @@ def compute_rado(
     bounds: list[BoundReport] = []
     # every edge of [1, n], by (max, tuple); None once the search is on dp
     edges: list[tuple[int, ...]] | None = [] if params.backend != "dp" else None
-
     colors: list[int] = []                # the witness: colors[v-1] is v's color
-    below_first_edge = True
     n = 0
-    while True:
-        if n >= params.n_cap or time.monotonic() > deadline:
-            return _outcome(LOWER_BOUND, n, colors, r, bounds)
+    while n < params.n_cap and time.monotonic() <= deadline:
         n += 1
-
+        t0 = time.monotonic()
         try:
-            if below_first_edge:
-                # [1, n] has a solution iff one closes at exactly n
-                if not dp_feasible(eq, range(1, n + 1), n, deadline):
-                    colors.append(1)
-                    continue
-                below_first_edge = False
-
-            t0 = time.monotonic()
             closing = None
             if edges is not None:
-                try:
-                    closing = build_hyperedges(
-                        eq, n, closing=True, node_budget=AUTO_NODE_BUDGET,
-                        edge_cap=AUTO_EDGE_CAP - len(edges), deadline=deadline,
-                    ).edges
-                except EnumerationBudgetExceeded:
-                    if params.backend == "edge":
-                        raise SolverError(
-                            f"edge backend refused at n={n}: more than {AUTO_EDGE_CAP} "
-                            f"edges or {AUTO_NODE_BUDGET} enumeration nodes; "
-                            "use backend 'dp' or 'auto'"
-                        ) from None
+                closing = _edges(eq, n, params.backend, deadline,
+                                 closing=True, have=len(edges))
+                if closing is None:
                     edges = None
                 else:
                     edges.extend(closing)
-
             c = _try_extend(eq, colors, n, r, closing, deadline)
         except EnumerationTimeout:
-            return _outcome(LOWER_BOUND, n - 1, colors, r, bounds)
+            break
         if c is not None:
             colors.append(c)
-            bounds.append(BoundReport(
-                n, COLORABLE, "edge" if closing is not None else "dp", True,
-                0, 0, int((time.monotonic() - t0) * 1000),
-            ))
+            # while every value has color 1, color 1 extends to n exactly
+            # when no solution closes at n: nothing to report yet
+            if bounds or c != 1:
+                bounds.append(BoundReport(
+                    n, COLORABLE, "edge" if closing is not None else "dp", True,
+                    0, 0, int((time.monotonic() - t0) * 1000),
+                ))
             continue
 
         if time.monotonic() > deadline:
-            return _outcome(LOWER_BOUND, n - 1, colors, r, bounds)
+            break
         outcome = _search(eq, n, r, edges, deadline)
         outcome.stats.elapsed_ms = int((time.monotonic() - t0) * 1000)
         bounds.append(BoundReport(
@@ -571,12 +550,12 @@ def compute_rado(
             outcome.stats.nodes, outcome.stats.propagations,
             outcome.stats.elapsed_ms,
         ))
-        if outcome.verdict == COLORABLE:
-            colors = list(outcome.coloring.colors)
-        elif outcome.verdict == UNCOLORABLE:
+        if outcome.verdict == UNCOLORABLE:
             return _outcome(EXACT, n, colors, r, bounds)
-        else:
-            return _outcome(LOWER_BOUND, n - 1, colors, r, bounds)
+        if outcome.verdict != COLORABLE:
+            break
+        colors = list(outcome.coloring.colors)
+    return _outcome(LOWER_BOUND, len(colors), colors, r, bounds)
 
 
 def _outcome(kind, value, colors, r, bounds) -> RadoOutcome:

@@ -516,11 +516,40 @@ def test_param_validation():
     SearchParams(time_budget=float("inf"))
 
 
-def test_edge_refusal_names_node_budget(monkeypatch):
-    # the closing scan is refused past either limit; the message names both
-    monkeypatch.setattr(solver, "AUTO_NODE_BUDGET", 50)
-    with pytest.raises(SolverError, match="50 enumeration nodes"):
-        compute_rado(family_equation(3), 2, SearchParams(backend="edge"))
+def test_edge_refusal_is_one_rule(monkeypatch):
+    # both entry points refuse forced edge past EDGE_BACKEND_CAP edges of
+    # [1, n], with one message
+    monkeypatch.setattr(solver, "EDGE_BACKEND_CAP", 100)
+    params = SearchParams(backend="edge")
+    with pytest.raises(SolverError, match="more than 100 edges") as direct:
+        find_coloring(family_equation(3), 105, 2, params)
+    with pytest.raises(SolverError, match="more than 100 edges") as grown:
+        compute_rado(family_equation(3), 2, params)
+    assert str(direct.value) == str(grown.value)
+
+
+def test_auto_moves_to_dp_past_node_budget(monkeypatch):
+    expected = compute_rado(SCHUR, 3)
+    monkeypatch.setattr(solver, "AUTO_NODE_BUDGET", 3)
+    out = compute_rado(SCHUR, 3)
+    assert (out.kind, out.value) == (expected.kind, expected.value) == (EXACT, 14)
+    assert {b.backend for b in expected.bounds} == {"edge"}
+    assert out.bounds[-1].backend == "dp"
+
+
+@pytest.mark.parametrize("backend", ["auto", "edge", "dp"])
+def test_bounds_start_at_first_solution(backend):
+    # 1+4+4=9 is the first solution of x^2+y^2+z^2=w^2; [1, 2] holds none
+    out = compute_rado(family_equation(3), 2, SearchParams(n_cap=10, backend=backend))
+    assert out.bounds[0].n == 3
+    assert (out.kind, out.value, out.witness.n) == (LOWER_BOUND, 10, 10)
+
+
+def test_bounds_start_at_first_solution_r1():
+    # [1, 1] holds no solution of x+y=z, and one color cannot take 1+1=2
+    out = compute_rado(SCHUR, 1)
+    assert (out.kind, out.value, out.witness.colors) == (EXACT, 2, (1,))
+    assert [(b.n, b.verdict, b.warm) for b in out.bounds] == [(2, UNCOLORABLE, False)]
 
 
 def test_symmetry_breaking_soundness():
