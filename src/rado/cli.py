@@ -47,6 +47,7 @@ from .solutions import (
     enumerate_solutions,
 )
 from .solver import (
+    BACKENDS,
     BUDGET_EXHAUSTED,
     COLORABLE,
     EXACT,
@@ -89,71 +90,59 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solutions", help="list solutions or hyperedges in [1, N]")
-    p.add_argument("equation")
+    # an argument that several subcommands take is defined once, as a parent
+    as_json, equation, colors, size, cap, search, output = (
+        argparse.ArgumentParser(add_help=False) for _ in range(7))
+    as_json.add_argument("--json", action="store_true")
+    equation.add_argument("equation")
+    equation.add_argument("--distinct", action="store_true",
+                          help="require pairwise distinct constrained values")
+    colors.add_argument("-r", type=int, required=True)
+    size.add_argument("-n", type=int, required=True)
+    cap.add_argument("--cap", type=int, default=SearchParams.n_cap, metavar="N")
+    search.add_argument("--timeout", type=float, default=SearchParams.time_budget,
+                        metavar="SECONDS")
+    search.add_argument("--backend", choices=BACKENDS, default=SearchParams.backend)
+    search.add_argument("--cert", metavar="FILE", help="write witness certificate")
+    output.add_argument("-o", "--output", required=True, metavar="FILE")
+
+    p = sub.add_parser("solutions", parents=[equation, as_json],
+                       help="list solutions or hyperedges in [1, N]")
     p.add_argument("--max", type=int, default=None, metavar="N")
     p.add_argument("--edges", action="store_true", help="print deduplicated edges")
     p.add_argument("--minimize", action="store_true",
                    help="with --edges, drop edges subsumed by subsets")
-    p.add_argument("--distinct", action="store_true",
-                   help="require pairwise distinct constrained values")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_solutions)
 
-    p = sub.add_parser("color", help="decide colorability of [1, N]")
-    p.add_argument("equation")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("--backend", choices=("edge", "dp", "auto"), default="auto")
-    p.add_argument("--timeout", type=float, default=600.0, metavar="SECONDS")
-    p.add_argument("--cert", metavar="FILE", help="write witness certificate")
-    p.add_argument("--distinct", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_color)
+    sub.add_parser("color", parents=[equation, size, colors, search, as_json],
+                   help="decide colorability of [1, N]").set_defaults(func=cmd_color)
 
-    p = sub.add_parser("rado", help="compute the Rado number RR_r(E)")
-    p.add_argument("equation")
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("--cap", type=int, default=10_000, metavar="N")
-    p.add_argument("--timeout", type=float, default=600.0, metavar="SECONDS")
-    p.add_argument("--backend", choices=("edge", "dp", "auto"), default="auto")
-    p.add_argument("--cert", metavar="FILE", help="write witness certificate")
-    p.add_argument("--distinct", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_rado)
+    sub.add_parser("rado", parents=[equation, colors, cap, search, as_json],
+                   help="compute the Rado number RR_r(E)").set_defaults(func=cmd_rado)
 
-    p = sub.add_parser("export", help="export a coloring instance as DIMACS CNF")
-    p.add_argument("equation")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("-o", "--output", required=True, metavar="FILE")
+    p = sub.add_parser("export", parents=[equation, size, colors, output, as_json],
+                       help="export a coloring instance as DIMACS CNF")
     p.add_argument("--direct", action="store_true",
                    help="force the direct encoding (default: binary for r=2)")
-    p.add_argument("--distinct", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_export)
 
-    p = sub.add_parser("verify", help="verify a coloring certificate")
+    p = sub.add_parser("verify", parents=[as_json], help="verify a coloring certificate")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("model-to-cert",
+    p = sub.add_parser("model-to-cert", parents=[output, as_json],
                        help="convert a SAT model back into a certificate")
     p.add_argument("cnf", help="the exported DIMACS file (carries the metadata)")
     p.add_argument("model", help="model file: DIMACS v-lines or bare literals")
-    p.add_argument("-o", "--output", required=True, metavar="FILE")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_model_to_cert)
 
-    p = sub.add_parser("table", help="Rado numbers of x1^2+...+xk^2 = z^2")
+    p = sub.add_parser("table", parents=[colors, cap, as_json],
+                       help="Rado numbers of x1^2+...+xk^2 = z^2")
     p.add_argument("--min-k", type=int, required=True)
     p.add_argument("--max-k", type=int, required=True)
-    p.add_argument("-r", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--timeout-per-k", type=float, default=600.0, metavar="SECONDS")
-    p.add_argument("--cap", type=int, default=10_000, metavar="N")
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--timeout-per-k", type=float, default=SearchParams.time_budget,
+                   metavar="SECONDS")
     p.set_defaults(func=cmd_table)
 
     return parser
@@ -348,16 +337,12 @@ def _table_row(k: int, r: int, cap: int, timeout: float) -> dict:
     out = compute_rado(
         family_equation(k), r, SearchParams(n_cap=cap, time_budget=timeout)
     )
-    backend = "warm"
-    for b in reversed(out.bounds):
-        if not b.warm:
-            backend = b.backend
-            break
+    cold = [b.backend for b in out.bounds if not b.warm]
     return {
         "k": k,
         "kind": out.kind,
         "value": out.value,
-        "backend": backend,
+        "backend": cold[-1] if cold else "warm",
         "nodes": sum(b.nodes for b in out.bounds),
         "elapsed_ms": sum(b.elapsed_ms for b in out.bounds),
     }

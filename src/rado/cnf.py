@@ -238,19 +238,13 @@ def import_model(model: list[int], inst: CnfInstance) -> Coloring:
         if abs(lit) > inst.variable_count:
             raise CnfError(f"model literal {lit} out of range")
         assigned[abs(lit)] = lit > 0
-    constrained = None
-
-    def in_clauses(var: int) -> bool:
-        # a set over every literal, so built only once a variable is missing
-        nonlocal constrained
-        if constrained is None:
-            constrained = inst.constrained_variables()
-        return var in constrained
-
+    missing = set(range(1, inst.variable_count + 1)).difference(assigned)
+    if missing:     # a set over every literal, so built only when needed
+        missing &= inst.constrained_variables()
     colors: list[int] = []
     if inst.encoding == BINARY:
         for v in range(1, inst.n + 1):
-            if v not in assigned and in_clauses(v):
+            if v in missing:
                 raise CnfError(f"incomplete model: variable {v} unassigned")
             colors.append(2 if assigned.get(v) else 1)
     elif inst.encoding == DIRECT:
@@ -262,7 +256,7 @@ def import_model(model: list[int], inst: CnfInstance) -> Coloring:
                 raise CnfError(
                     f"vertex {v} assigned colors {true_colors}: at-most-one violated"
                 )
-            if not true_colors and any(x not in assigned and in_clauses(x) for x in own):
+            if not true_colors and not missing.isdisjoint(own):
                 raise CnfError(f"incomplete model: vertex {v} has no color")
             colors.append(true_colors[0] if true_colors else 1)
     else:
@@ -272,6 +266,9 @@ def import_model(model: list[int], inst: CnfInstance) -> Coloring:
 
 def coloring_to_model(coloring: Coloring, inst: CnfInstance) -> list[int]:
     """The model a SAT solver would report for this coloring."""
+    if (coloring.n, coloring.r) != (inst.n, inst.r):
+        raise CnfError(f"coloring of n={coloring.n}, r={coloring.r} does not "
+                       f"fit the instance's n={inst.n}, r={inst.r}")
     if inst.encoding == BINARY:
         return [v if coloring.color_of(v) == 2 else -v for v in range(1, inst.n + 1)]
     r = inst.r

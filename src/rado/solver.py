@@ -45,6 +45,7 @@ from .solutions import (
     build_hyperedges,
     check_overflow,
     dp_feasible,
+    _cap,
     _plan,
 )
 
@@ -54,6 +55,8 @@ BUDGET_EXHAUSTED = "budget-exhausted"
 
 EXACT = "exact"
 LOWER_BOUND = "lower-bound"
+
+BACKENDS = ("edge", "dp", "auto")
 
 # auto prefers edges while the instance stays small enough that per-node
 # counter updates beat the DP's bigint shifts; measured crossover ~2e4
@@ -128,14 +131,14 @@ class RadoOutcome:
 class SearchParams:
     n_cap: int = 10_000
     time_budget: float = 600.0
-    backend: str = "auto"     # "edge" | "dp" | "auto"
+    backend: str = "auto"     # one of BACKENDS
 
     def __post_init__(self):
         if self.n_cap < 1:
             raise SolverError(f"n_cap must be >= 1, got {self.n_cap}")
         if not self.time_budget > 0:          # NaN would meet no deadline
             raise SolverError("time_budget must be positive")
-        if self.backend not in ("edge", "dp", "auto"):
+        if self.backend not in BACKENDS:
             raise SolverError(f"unknown backend {self.backend!r}")
 
 
@@ -389,7 +392,7 @@ def _dp_fast_checks(eq, n, r, color, stats):
     p, cl = lhs[0].size, lhs[0].coefficient
     q, cr = rhs[0].size, rhs[0].coefficient
     degree = eq.degree
-    cap = min(p * cl, q * cr) * n**degree
+    cap = _cap(lhs, rhs, n, degree)
     capmask = (1 << (cap + 1)) - 1
     wl = [cl * v**degree for v in range(n + 1)]
     wr = [cr * v**degree for v in range(n + 1)]

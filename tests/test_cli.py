@@ -1,10 +1,11 @@
+import argparse
 import json
 
 import pytest
 
-from rado.cli import main
+from rado.cli import _build_parser, main
 from rado.cnf import parse_dimacs
-from rado.solver import find_coloring
+from rado.solver import SearchParams, find_coloring
 from rado.equations import parse_equation
 from rado.solutions import build_hyperedges
 from rado.cnf import coloring_to_model, export_cnf
@@ -273,3 +274,109 @@ def test_distinct_flag(capsys):
                        "--distinct")
     assert code == 0
     assert all("x=3 y=3" not in line for line in out.splitlines())
+
+
+HELP = (("-h", "--help"), argparse.SUPPRESS, None, None, False, 0)
+FLAG = (False, None, None, False, 0)    # a store_true flag, less its option string
+REQUIRED_INT = (None, int, None, True, None)
+POSITIONAL = ((), None, None, None, True, None)
+OUTPUT = (("-o", "--output"), None, None, None, True, None)
+TIMEOUT = (600.0, float, None, False, None)
+CAP = (("--cap",), 10_000, int, None, False, None)
+SEARCH = {
+    "timeout": (("--timeout",), *TIMEOUT),
+    "backend": (("--backend",), "auto", None, ("edge", "dp", "auto"), False, None),
+    "cert": (("--cert",), None, None, None, False, None),
+}
+
+# dest -> (option strings, default, type, choices, required, nargs)
+SURFACE = {
+    "solutions": {
+        "equation": POSITIONAL,
+        "max": (("--max",), None, int, None, False, None),
+        "edges": (("--edges",), *FLAG),
+        "minimize": (("--minimize",), *FLAG),
+        "distinct": (("--distinct",), *FLAG),
+    },
+    "color": {
+        "equation": POSITIONAL,
+        "n": (("-n",), *REQUIRED_INT),
+        "r": (("-r",), *REQUIRED_INT),
+        **SEARCH,
+        "distinct": (("--distinct",), *FLAG),
+    },
+    "rado": {
+        "equation": POSITIONAL,
+        "r": (("-r",), *REQUIRED_INT),
+        "cap": CAP,
+        **SEARCH,
+        "distinct": (("--distinct",), *FLAG),
+    },
+    "export": {
+        "equation": POSITIONAL,
+        "n": (("-n",), *REQUIRED_INT),
+        "r": (("-r",), *REQUIRED_INT),
+        "output": OUTPUT,
+        "direct": (("--direct",), *FLAG),
+        "distinct": (("--distinct",), *FLAG),
+    },
+    "verify": {"file": POSITIONAL},
+    "model-to-cert": {"cnf": POSITIONAL, "model": POSITIONAL, "output": OUTPUT},
+    "table": {
+        "min_k": (("--min-k",), *REQUIRED_INT),
+        "max_k": (("--max-k",), *REQUIRED_INT),
+        "r": (("-r",), *REQUIRED_INT),
+        "jobs": (("--jobs",), 1, int, None, False, None),
+        "timeout_per_k": (("--timeout-per-k",), *TIMEOUT),
+        "cap": CAP,
+    },
+}
+
+
+def subparsers():
+    parser = _build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_argument_surface_is_pinned():
+    subs = subparsers()
+    assert list(subs) == list(SURFACE)
+    for name, sub in subs.items():
+        got = {
+            a.dest: (tuple(a.option_strings), a.default, a.type,
+                     None if a.choices is None else tuple(a.choices),
+                     a.required, a.nargs)
+            for a in sub._actions
+        }
+        assert got == {"help": HELP, **SURFACE[name],
+                       "json": (("--json",), *FLAG)}, name
+        # positionals keep their order: model-to-cert reads cnf, then model
+        assert [a.dest for a in sub._actions if not a.option_strings] == [
+            dest for dest, spec in SURFACE[name].items() if spec[0] == ()
+        ], name
+
+
+def test_search_defaults_are_search_params():
+    subs = subparsers()
+    defaults = SearchParams()
+    for name, dest, field in [
+        ("color", "timeout", "time_budget"),
+        ("color", "backend", "backend"),
+        ("rado", "timeout", "time_budget"),
+        ("rado", "backend", "backend"),
+        ("rado", "cap", "n_cap"),
+        ("table", "timeout_per_k", "time_budget"),
+        ("table", "cap", "n_cap"),
+    ]:
+        assert subs[name].get_default(dest) == getattr(defaults, field), (name, dest)
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name in SURFACE],
+                         ids=["top-level", *SURFACE])
+def test_help_renders(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(" ".join(["usage: rado", *argv[:-1]]))

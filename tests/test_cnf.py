@@ -10,6 +10,7 @@ from rado.cnf import (
     BINARY,
     DIRECT,
     CnfError,
+    CnfInstance,
     coloring_to_model,
     export_cnf,
     import_model,
@@ -19,7 +20,7 @@ from rado.cnf import (
 )
 from rado.equations import parse_equation
 from rado.solutions import EdgeSet, build_hyperedges
-from rado.solver import COLORABLE, find_coloring
+from rado.solver import COLORABLE, Coloring, find_coloring
 
 
 def schur_n2():
@@ -130,6 +131,34 @@ def test_unconstrained_vertices_default_to_color_one():
     inst = export_cnf(eq, edges, 2, BINARY)
     coloring = import_model([3, -4, -5], inst)
     assert coloring.colors == (1, 1, 2, 1, 1, 1)
+
+
+def test_import_direct_rejects_incomplete_model():
+    eq = parse_equation("x+y=z")
+    inst = export_cnf(eq, build_hyperedges(eq, 4), 3)
+    assert inst.encoding == DIRECT
+    # vertex 1 has color 1; vertices 2..4 are unassigned, the first is named
+    with pytest.raises(CnfError, match="^incomplete model: vertex 2 has no color$"):
+        import_model([1, -2, -3], inst)
+
+
+def test_import_direct_unconstrained_vertices_default_to_color_one():
+    # a direct instance whose clauses leave vertex 3 (variables 5, 6) out
+    inst = CnfInstance("x+y=z", 3, 2, DIRECT, 6,
+                       [[-2], [1, 2], [-1, -2], [3, 4], [-3, -4], [-1, -3]])
+    assert import_model([1, -2, -3, 4], inst).colors == (1, 2, 1)
+
+
+@pytest.mark.parametrize("coloring", [
+    Coloring(4, 3, (1, 3, 3, 1)),
+    Coloring(6, 2, (1, 2, 2, 1, 1, 2)),
+    Coloring(3, 2, (1, 2, 2)),
+])
+def test_coloring_to_model_rejects_other_size_or_palette(coloring):
+    eq = parse_equation("x+y=z")
+    inst = export_cnf(eq, build_hyperedges(eq, 4), 2, BINARY)
+    with pytest.raises(CnfError, match="coloring"):
+        coloring_to_model(coloring, inst)
 
 
 def test_model_round_trip_both_encodings():
