@@ -357,8 +357,9 @@ def cmd_table(args) -> int:
         return 2
     rows_args = (range(args.min_k, args.max_k + 1), repeat(args.r),
                  repeat(args.cap), repeat(args.timeout_per_k))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    jobs = min(args.jobs, args.max_k - args.min_k + 1)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_table_row, *rows_args))
     else:
         rows = list(map(_table_row, *rows_args))

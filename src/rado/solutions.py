@@ -43,10 +43,10 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, compress, product
 from math import comb, factorial, inf, isqrt, prod
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from .equations import Equation
 
@@ -62,6 +62,8 @@ SIEVE_MODULUS = 5040
 # the streamed side's last group is pruned by a reachability table only
 # while its size, top probe total x slots x bound bits, is at most this
 REACH_TABLE_CAP = 2**24
+# most dp masks one side may have (one per fill count of its groups)
+DP_MASK_CAP = 256
 
 
 class OverflowGuardError(ValueError):
@@ -711,12 +713,12 @@ def dp_feasible(eq: Equation, class_values, pivot: int, deadline: float | None =
     variables with maximum value exactly pivot (repetition allowed unless
     the equation requires distinct values).
 
-    Free variables may take any positive integer.  Computed by reachability
-    over weighted power sums with pivot forced into at least one slot; for
-    a distinct: equation, by looking for an edge closing at pivot within
-    the class, from the closing edges cached per (equation, pivot).  That
-    scan raises EnumerationTimeout past a time.monotonic() deadline, and
-    nothing is cached then.
+    Free variables may take any positive integer.  The class is grown into
+    the dp search's masks (_dp_sides), then pivot is asked for in one slot
+    of some constrained group.  A distinct: equation looks instead for an
+    edge closing at pivot within the class, among the closing edges cached
+    per (equation, pivot); that scan raises EnumerationTimeout past a
+    time.monotonic() deadline, and nothing is cached then.
     """
     values = sorted(set(class_values))
     if not values or values[0] < 1:
@@ -731,32 +733,58 @@ def dp_feasible(eq: Equation, class_values, pivot: int, deadline: float | None =
         cls = set(values)
         return any(cls.issuperset(e) for e in _closing_edges(eq, pivot, deadline))
 
-    lhs, rhs = _plan(eq)
-    degree = eq.degree
-    cap = _cap(lhs, rhs, pivot, degree)
+    (lm, lgroups), (rm, rgroups), capmask = _dp_sides(eq, pivot)
+    for v in values:
+        lm = _grow(lm, lgroups, v, capmask)
+        rm = _grow(rm, rgroups, v, capmask)
+    # pivot in one slot of some group, every other slot from the class
+    return any(
+        (other[-1] >> weight[pivot]) & masks[-1 - stride]
+        for masks, groups, other in ((lm, lgroups, rm), (rm, rgroups, lm))
+        for weight, stride, _ in groups
+    )
+
+
+def _dp_sides(eq: Equation, n: int):
+    """Each side's dp masks for values in [1, n], as (initial masks,
+    groups), and the capmask that drops totals no solution can have.
+
+    Masks are indexed in mixed radix by how many slots of each constrained
+    group are filled, so masks[-1] is the full side; bit t is set iff
+    those slots can total t, and the free slots' sums seed masks[0].  A
+    group is (weight, stride, indices): weight[v] is its term at value v,
+    and indices are those with one of its slots filled.  A side that needs
+    more than DP_MASK_CAP masks raises OverflowGuardError first."""
+    plan, degree = _plan(eq), eq.degree
+    cap = _cap(*plan, n, degree)
     capmask = (1 << (cap + 1)) - 1
+    sides = []
+    for side in plan:
+        count = prod(g.size + 1 for g in side if not g.is_free)
+        if count > DP_MASK_CAP:
+            raise OverflowGuardError(f"a side of {eq.render()!r} needs {count} dp masks, "
+                                     f"past DP_MASK_CAP={DP_MASK_CAP}")
+        masks, groups, stride = [1] + [0] * (count - 1), [], 1
+        for g in side:
+            if g.is_free:           # a free slot takes any value whose term fits in cap
+                top = _floor_root(cap // g.coefficient, degree)
+                for _ in range(g.size):
+                    masks[0] = reduce(or_, (masks[0] << g.coefficient * v**degree
+                                            for v in range(1, top + 1)), 0) & capmask
+            else:
+                groups.append(([g.coefficient * v**degree for v in range(n + 1)], stride,
+                               [i for i in range(count) if i // stride % (g.size + 1)]))
+                stride *= g.size + 1
+        sides.append((masks, groups))
+    return sides[0], sides[1], capmask
 
-    def side_masks(groups):
-        a, b = 1, 0
-        for g in groups:
-            for _ in range(g.size):
-                if g.is_free:
-                    weights = []
-                    v = 1
-                    while g.coefficient * v**degree <= cap:
-                        weights.append(g.coefficient * v**degree)
-                        v += 1
-                else:
-                    weights = [g.coefficient * v**degree for v in values]
-                na = nb = 0
-                for w in weights:
-                    na |= a << w
-                    nb |= b << w
-                if not g.is_free:
-                    nb |= a << (g.coefficient * pivot**degree)
-                a, b = na & capmask, nb & capmask
-        return a, b
 
-    a_l, b_l = side_masks(lhs)
-    a_r, b_r = side_masks(rhs)
-    return bool((b_l & a_r) | (a_l & b_r))
+def _grow(masks, groups, v: int, capmask: int) -> list[int]:
+    """The masks of a side once value v joins the class: per group, in
+    ascending index order, so that v may fill several of its slots."""
+    new = masks[:]
+    for weight, stride, indices in groups:
+        w = weight[v]
+        for i in indices:
+            new[i] = (new[i] | new[i - stride] << w) & capmask
+    return new

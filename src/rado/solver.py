@@ -21,15 +21,15 @@ A backend supplies the check behind a placement:
   intractable under naive first-fit but close in a few thousand nodes
   under this ordering.  `propagations` counts colors removed from a
   domain.
-* dp: rejects a color the moment its class closes a solution whose
-  maximum value is the new vertex, decided by power-sum reachability
-  masks extended incrementally.  On the fast path (one weight per side)
-  it also forward-checks: after v joins class c, c is struck from each
-  later vertex that would close a solution using itself once and the
-  rest of the class, and a wiped-out domain rejects the placement.
-  Struck colors are not offered, so they are not nodes; `propagations`
-  counts them.  Other equations take one dp_feasible call per placement
-  and report 0 propagations.
+* dp: rejects a color the moment its class holds a solution, decided by
+  power-sum masks grown with the class, one per count of filled slots of
+  each coefficient group (_dp_sides).  It also forward-checks: after v
+  joins class c, c is struck from each later vertex that would close a
+  solution with itself in one slot of a side's first group and the rest
+  of the class, and a wiped-out domain rejects the placement.  Struck
+  colors are not offered, so they are not nodes; `propagations` counts
+  them.  A distinct: equation takes one dp_feasible call per placement
+  instead, on the edges closing there, and reports 0 propagations.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from .solutions import (
     build_hyperedges,
     check_overflow,
     dp_feasible,
-    _cap,
-    _plan,
+    _dp_sides,
+    _grow,
 )
 
 COLORABLE = "colorable"
@@ -207,10 +207,10 @@ def _search(eq, n, r, edges, deadline) -> SearchOutcome:
     else:
         backend = "dp"
         order = range(1, n + 1)
-        if _dp_fast(eq):
-            checks = _dp_fast_checks(eq, n, r, color, stats)
+        if eq.distinct_required:
+            checks = _dp_distinct_checks(eq, r, color, deadline)
         else:
-            checks = _dp_generic_checks(eq, r, color, deadline)
+            checks = _dp_checks(eq, n, r, color, stats)
     try:
         verdict = _backtrack(order, color, r, *checks, stats, deadline)
     except EnumerationTimeout:            # in a distinct: dp_feasible scan
@@ -374,52 +374,22 @@ def _edge_checks(n, r, edges, color, stats):
     return order, (candidates, place, undo)
 
 
-def _dp_fast(eq: Equation) -> bool:
-    """The incremental mask extension needs one uniform weight per side."""
-    lhs, rhs = _plan(eq)
-    return (
-        not eq.free_vars
-        and not eq.distinct_required
-        and len(lhs) == 1
-        and len(rhs) == 1
-    )
+def _dp_checks(eq, n, r, color, stats):
+    """The dp backend's candidates, place and undo for an equation without
+    the distinct: marker: the power-sum masks of _dp_sides per class,
+    grown as the class grows, and forward checking."""
+    (lm, lgroups), (rm, rgroups), capmask = _dp_sides(eq, n)
+    # forward checking puts a later vertex in one slot of each side's
+    # first constrained group; a side without one strikes nothing
+    (wl, sl, _), (wr, sr, _) = (g[0] if g else ([0] * (n + 1), 0, None)
+                                for g in (lgroups, rgroups))
 
-
-def _dp_fast_checks(eq, n, r, color, stats):
-    """The dp fast path's candidates, place and undo: power-sum masks per
-    class, extended as the class grows, and forward checking."""
-    lhs, rhs = _plan(eq)
-    p, cl = lhs[0].size, lhs[0].coefficient
-    q, cr = rhs[0].size, rhs[0].coefficient
-    degree = eq.degree
-    cap = _cap(lhs, rhs, n, degree)
-    capmask = (1 << (cap + 1)) - 1
-    wl = [cl * v**degree for v in range(n + 1)]
-    wr = [cr * v**degree for v in range(n + 1)]
-
-    # per color: stack of (lhs masks A_0..A_p, rhs masks A_0..A_q)
-    init = ((1,) + (0,) * p, (1,) + (0,) * q)
-    stacks: list[list] = [[init] for _ in range(r + 1)]
+    # per color: stack of (lhs masks, rhs masks)
+    stacks: list[list] = [[(lm, rm)] for _ in range(r + 1)]
     domain = [(1 << r) - 1] * (n + 1)      # colors not yet struck, bit c-1
     # viable[limit][dm]: the colors 1..limit left in domain dm, filled in
     # as domains are met (a full table would have 2**r rows)
     viable: list[dict[int, list[int]]] = [{} for _ in range(r + 1)]
-
-    def closes_solution(v, c):
-        """Extend class c by v; push masks; True iff a solution with maximum
-        value v lies entirely in the class."""
-        la, ra = stacks[c][-1]
-        sl, sr = wl[v], wr[v]
-        nl = [1]
-        for t in range(1, p + 1):
-            nl.append((la[t] | (nl[-1] << sl)) & capmask)
-        nr = [1]
-        for t in range(1, q + 1):
-            nr.append((ra[t] | (nr[-1] << sr)) & capmask)
-        stacks[c].append((nl, nr))
-        # v once more on the left: (nl[p-1] << sl) & nr[q]; on the right:
-        # nl[p] & (nr[q-1] << sr); shifted right instead, for smaller ints
-        return bool((nr[q] >> sl) & nl[p - 1] or (nl[p] >> sr) & nr[q - 1])
 
     def strike(v, c, struck):
         """Strike c from each later vertex that would close a solution using
@@ -428,8 +398,8 @@ def _dp_fast_checks(eq, n, r, color, stats):
         Sound while v stays in c, since a class only grows until backtrack.
         Lists each vertex struck in struck; False if a domain is wiped out."""
         la, ra = stacks[c][-1]
-        a, a1 = la[p], la[p - 1]
-        b, b1 = ra[q], ra[q - 1]
+        a, a1 = la[-1], la[-1 - sl] if sl else 0
+        b, b1 = ra[-1], ra[-1 - sr] if sr else 0
         bit = 1 << (c - 1)
         for w in range(v + 1, n + 1):
             dm = domain[w]
@@ -452,8 +422,13 @@ def _dp_fast_checks(eq, n, r, color, stats):
         return cands
 
     def place(v, c):
+        """Grow class c by v and push its masks, then strike.  Rejected if
+        the class now holds a solution (one with v: it held none before)."""
+        la, ra = stacks[c][-1]
+        nl, nr = _grow(la, lgroups, v, capmask), _grow(ra, rgroups, v, capmask)
+        stacks[c].append((nl, nr))
         struck: list[int] = []
-        if closes_solution(v, c) or not strike(v, c, struck):
+        if nl[-1] & nr[-1] or not strike(v, c, struck):
             unplace(c, struck)
             return None
         color[v] = c
@@ -473,8 +448,9 @@ def _dp_fast_checks(eq, n, r, color, stats):
     return candidates, place, undo
 
 
-def _dp_generic_checks(eq, r, color, deadline):
-    """The dp path for other equations: a dp_feasible call per placement."""
+def _dp_distinct_checks(eq, r, color, deadline):
+    """The dp path for a distinct: equation: a dp_feasible call per
+    placement, which reads the edges closing at the new vertex."""
     classes: list[list[int]] = [[] for _ in range(r + 1)]
 
     def candidates(v, limit):

@@ -192,6 +192,18 @@ def test_parse_errors():
         parse_certificate("rado-cert v1\ne x+y=z\nn 1\nr 2\nk one\n")
 
 
+def test_parse_rejects_duplicate_line_and_non_integer_n():
+    with pytest.raises(CertificateError, match="duplicate 'e' line"):
+        parse_certificate("rado-cert v1\ne x+y=z\ne x+y=z\nn 1\nr 2\nk 1\n")
+    with pytest.raises(CertificateError, match="n and r must be integers"):
+        parse_certificate("rado-cert v1\ne x+y=z\nn one\nr 2\nk 1\n")
+
+
+def test_verify_negative_n_is_malformed():
+    verdict = verify(Certificate("x+y=z", -1, 2, ()))
+    assert (verdict.status, verdict.reason) == (MALFORMED, "negative n -1")
+
+
 def test_verify_text_wraps_parse_errors():
     assert verify_text("garbage").status == MALFORMED
     good = write_certificate(Certificate("x+y=z", 4, 2, (1, 2, 2, 1)))

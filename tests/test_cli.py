@@ -53,6 +53,48 @@ def test_solutions_edges_json_schema(capsys):
     }
 
 
+def test_solutions_listing_json(capsys):
+    code, out, _ = run(capsys, "solutions", "x+y=~z", "--max", "2", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["command", "equation", "n", "solutions"]
+    assert doc == {
+        "command": "solutions",
+        "equation": "x+y=~z",
+        "n": 2,
+        # constrained values first, then the free ones
+        "solutions": [{"x": 1, "y": 1, "z": 2}, {"x": 1, "y": 2, "z": 3},
+                      {"x": 2, "y": 1, "z": 3}, {"x": 2, "y": 2, "z": 4}],
+    }
+
+
+@pytest.mark.parametrize("backend, nodes, propagations, max_depth", [
+    ("edge", 1, 3, 1),
+    ("dp", 5, 3, 4),        # one coefficient group per side
+])
+def test_color_json(capsys, backend, nodes, propagations, max_depth):
+    code, out, _ = run(capsys, "color", "x+y=z", "-n", "4", "-r", "2",
+                       "--backend", backend, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["command", "equation", "n", "r", "verdict", "coloring",
+                         "backend", "nodes", "propagations", "max_depth"]
+    assert doc == {
+        "command": "color", "equation": "x+y=z", "n": 4, "r": 2,
+        "verdict": "colorable", "coloring": [1, 2, 2, 1], "backend": backend,
+        "nodes": nodes, "propagations": propagations, "max_depth": max_depth,
+    }
+
+
+def test_color_refuses_too_many_dp_masks(capsys, monkeypatch):
+    # x+2y=z: a group of x and a group of y need 2 x 2 masks on one side
+    monkeypatch.setattr("rado.solutions.DP_MASK_CAP", 3)
+    code, out, err = run(capsys, "color", "x+2y=z", "-n", "5", "-r", "2",
+                         "--backend", "dp")
+    assert (code, out) == (2, "")
+    assert "needs 4 dp masks, past DP_MASK_CAP=3" in err
+
+
 def test_color_colorable(capsys):
     code, out, _ = run(capsys, "color", "x+y=z", "-n", "4", "-r", "2")
     assert code == 0
@@ -192,6 +234,24 @@ def test_model_to_cert_pipeline(capsys, tmp_path):
     assert out.strip() == "valid"
 
 
+def test_model_to_cert_json(capsys, tmp_path):
+    cnf_path = tmp_path / "s.cnf"
+    model_path = tmp_path / "s.model"
+    cert_path = tmp_path / "s.crt"
+    code, _, _ = run(capsys, "export", "x+y=z", "-n", "4", "-r", "2",
+                     "-o", str(cnf_path))
+    assert code == 0
+    model_path.write_text("v -1 2 3 -4 0\n")
+    code, out, _ = run(capsys, "model-to-cert", str(cnf_path), str(model_path),
+                       "-o", str(cert_path), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["command", "path", "equation", "n", "r"]
+    assert doc == {"command": "model-to-cert", "path": str(cert_path),
+                   "equation": "x+y=z", "n": 4, "r": 2}
+    assert "k 1 2 2 1" in cert_path.read_text().splitlines()
+
+
 @pytest.mark.parametrize("edit", [
     ("c r 2", "c r 3"),
     ("c n 30", "c n 31"),
@@ -242,6 +302,37 @@ def test_table_human_body_identical_across_jobs(capsys):
     _, out2, _ = run(capsys, "table", "--min-k", "4", "--max-k", "6", "-r", "2",
                      "--jobs", "3")
     assert body(out1) == body(out2)
+
+
+@pytest.mark.parametrize("max_k, jobs, pools", [
+    ("5", "8", [2]),        # two rows: two workers
+    ("4", "3", []),         # one row: run serially
+])
+def test_table_forks_no_more_workers_than_rows(capsys, monkeypatch, max_k, jobs, pools):
+    made = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records max_workers and maps
+        serially, so no process is started."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("rado.cli.ProcessPoolExecutor", SerialPool)
+    code, out, _ = run(capsys, "table", "--min-k", "4", "--max-k", max_k, "-r", "2",
+                       "--cap", "10", "--jobs", jobs, "--json")
+    assert code == 0
+    assert made == pools
+    assert [row["k"] for row in json.loads(out)["rows"]] == list(range(4, int(max_k) + 1))
 
 
 def test_table_bad_range(capsys):

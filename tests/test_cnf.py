@@ -125,6 +125,27 @@ def test_import_rejects_incomplete_model():
         import_model([-1], inst)
 
 
+def schur_n4_text():
+    eq = parse_equation("x+y=z")
+    return write_dimacs(export_cnf(eq, build_hyperedges(eq, 4), 2))
+
+
+def test_parse_dimacs_rejects_other_problem_type():
+    with pytest.raises(CnfError, match="line 7: bad problem line 'p dnf 4 9'"):
+        parse_dimacs(schur_n4_text().replace("p cnf", "p dnf"))
+
+
+def test_parse_dimacs_requires_n_comment():
+    with pytest.raises(CnfError, match="missing 'c n' header comment"):
+        parse_dimacs(schur_n4_text().replace("c n 4\n", ""))
+
+
+def test_import_rejects_literal_out_of_range():
+    inst = parse_dimacs(schur_n4_text())
+    with pytest.raises(CnfError, match="model literal 7 out of range"):
+        import_model([-1, 2, 3, -4, 7], inst)
+
+
 def test_unconstrained_vertices_default_to_color_one():
     eq = parse_equation("x^2+y^2=z^2")
     edges = build_hyperedges(eq, 6)  # only {3,4,5}

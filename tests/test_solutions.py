@@ -4,6 +4,7 @@ from math import isqrt
 
 import pytest
 
+from rado import solutions, solver
 from rado.equations import parse_equation, family_equation
 from rado.solutions import (
     REACH_TABLE_CAP,
@@ -17,6 +18,7 @@ from rado.solutions import (
     enumerate_solutions,
     iter_canonical_solutions,
 )
+from rado.solver import SearchParams, find_coloring
 
 
 def naive_solutions(eq, n):
@@ -323,7 +325,8 @@ def test_dp_feasible_validation():
 def test_dp_feasible_matches_edges():
     # dp_feasible(class, pivot) iff some edge has max == pivot within class
     rng = random.Random(17)
-    for text in ("x+y=z", "x^2+y^2=z^2", "x1^2+x2^2+x3^2=z^2", "2x+y=3z"):
+    for text in ("x+y=z", "x^2+y^2=z^2", "x1^2+x2^2+x3^2=z^2", "2x+y=3z",
+                 "3x^2+y^2=z^2+2w^2", "x+y+~a=z"):
         eq = parse_equation(text)
         n = 18
         edges = build_hyperedges(eq, n).edges
@@ -339,6 +342,8 @@ def test_dp_feasible_matches_edges():
 
 
 def test_dp_feasible_free_variable():
+    # no value of ~f makes 5f as small as the largest total, 1
+    assert not dp_feasible(parse_equation("x=5~f"), {1}, 1)
     eq = parse_equation("9x^2+16y^2=~n^2")
     # x=3, y=3: 81+144=225=15^2, so {3} with pivot 3 closes a solution
     assert dp_feasible(eq, {3}, 3)
@@ -399,6 +404,23 @@ def test_overflow_guard():
         check_overflow(eq, 3_000_000)
     with pytest.raises(OverflowGuardError):
         build_hyperedges(eq, 3_000_000)
+
+
+def test_dp_mask_cap_refuses_before_growing(monkeypatch):
+    # x+2y=z: a group of x and a group of y need 2 x 2 masks on one side
+    def grow(*args):
+        raise AssertionError("grew masks before refusing")
+
+    eq = parse_equation("x+2y=z")
+    monkeypatch.setattr(solutions, "DP_MASK_CAP", 4)
+    assert dp_feasible(eq, {1, 3}, 3)                # 1+2*1=3, at the cap
+    monkeypatch.setattr(solutions, "DP_MASK_CAP", 3)
+    monkeypatch.setattr(solutions, "_grow", grow)
+    monkeypatch.setattr(solver, "_grow", grow)
+    with pytest.raises(OverflowGuardError, match="needs 4 dp masks"):
+        find_coloring(eq, 5, 2, SearchParams(backend="dp"))
+    with pytest.raises(OverflowGuardError, match="needs 4 dp masks"):
+        dp_feasible(eq, {1, 3}, 3)
 
 
 def test_json_export():

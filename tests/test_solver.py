@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -105,14 +106,15 @@ def test_dp_forward_checking_prunes():
     # edge: propagation to a fixpoint
     ("edge", "x^2+y^2+z^2=w^2", False, 73, 2,
      (COLORABLE, 510, 4145, 21), None),
-    # dp fast path: one weight per side, forward checking
+    # dp, one coefficient group per side: forward checking
     ("dp", "x1^2+x2^2+x3^2+x4^2+x5^2=y1^2+y2^2", False, 31, 3,
      (UNCOLORABLE, 29527, 52618, 25), None),
     ("dp", "x0=y0+y1", False, 13, 3,
      (COLORABLE, 80, 104, 13), (1, 2, 2, 1, 3, 3, 1, 3, 3, 1, 2, 2, 1)),
     ("dp", "x0=y0+y1", False, 14, 3, (UNCOLORABLE, 197, 302, 11), None),
-    # generic dp: a dp_feasible call per node
-    ("dp", "x^2+y^2+2z^2=w^2", False, 30, 2, (COLORABLE, 84, 0, 30), None),
+    # dp, two groups on one side: forward checking from the first group
+    ("dp", "x^2+y^2+2z^2=w^2", False, 30, 2, (COLORABLE, 43, 38, 30), None),
+    # distinct: on dp, a dp_feasible call per node
     ("dp", "x+y=z", True, 8, 2,
      (COLORABLE, 14, 0, 8), (1, 1, 2, 1, 2, 2, 2, 1)),
     ("dp", "x+y=z", True, 9, 2, (UNCOLORABLE, 53, 0, 8), None),
@@ -219,8 +221,8 @@ def clocked_stats(clock, expire_at):
 
 @pytest.mark.parametrize("backend, eq, n, interval", [
     ("edge", family_equation(3), 105, 1),
-    ("dp", family_equation(3), 105, 1),                       # fast path
-    ("dp", parse_equation("x^2+y^2+2z^2=w^2"), 60, 1),        # generic
+    ("dp", family_equation(3), 105, 1),                       # one group a side
+    ("dp", parse_equation("x^2+y^2+2z^2=w^2"), 60, 1),        # two groups a side
 ])
 def test_search_loops_stop_within_check_interval(monkeypatch, backend, eq, n, interval):
     expire_at = 5 * interval + 37       # past several checks, not on one
@@ -358,7 +360,7 @@ def test_backend_agreement_family():
 
 
 def test_backend_agreement_generic_dp():
-    # coefficients break the uniform-weight fast path; generic DP must agree
+    # two coefficient groups on one side: the dp masks must agree
     eq = parse_equation("2x+y=3z")
     for n in range(1, 16):
         e = find_coloring(eq, n, 2, SearchParams(backend="edge"))
@@ -391,33 +393,40 @@ def test_edge_and_dp_agree(text, n, r):
 
 
 @st.composite
-def fast_path_equations(draw):
-    """p terms = q terms, p and q 1-5, one coefficient (1-3) per side,
-    degree 1 or 2: the equations the dp fast path takes."""
+def grouped_equations(draw):
+    """1-4 terms per side, so 1-3 coefficient groups (coefficients 1-3),
+    degree 1 or 2, and maybe a free variable on one side: the mask layouts
+    of the dp backend."""
     exp = "^2" if draw(st.sampled_from((1, 2))) == 2 else ""
     sides = []
     for name in "xy":
+        coefs = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+        sides.append([f"{c if c > 1 else ''}{name}{i}{exp}" for i, c in enumerate(coefs)])
+    free = draw(st.sampled_from((None, 0, 1)))
+    if free is not None:
         c = draw(st.integers(1, 3))
-        size = draw(st.integers(1, 5))
-        sides.append("+".join(
-            f"{c if c > 1 else ''}{name}{i}{exp}" for i in range(size)
-        ))
-    return "=".join(sides)
+        sides[free].append(f"{c if c > 1 else ''}~f{exp}")
+    return "=".join("+".join(side) for side in sides)
 
 
 # denser draws are skipped: the edge backend takes seconds to minutes on
-# them (test_dp_forward_checking_prunes covers one dense refutation)
+# them (test_dp_forward_checking_prunes covers one dense refutation), and
+# so are draws with many solution representatives per edge, which a free
+# variable beside several linear terms gives
 EDGE_REFERENCE_CAP = 2_000
+REPS_REFERENCE_CAP = 50_000
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(text=fast_path_equations(), n=st.integers(6, 28), r=st.sampled_from((2, 3)))
+@given(text=grouped_equations(), n=st.integers(6, 28), r=st.sampled_from((2, 3)))
 @example(text="x0=y0+y1", n=13, r=3)     # Schur S(3) = 13: the last colorable n
-def test_dp_fast_path_agrees_with_edge(text, n, r):
+def test_dp_agrees_with_edge_on_grouped_draws(text, n, r):
     # forward checking may only prune colors that would close a solution;
-    # a wrong strike or a missed restore turns colorable into uncolorable
+    # a wrong strike, a missed restore or a wrong mask index turns
+    # colorable into uncolorable, or lets a solution through
     eq = parse_equation(text)
-    assert solver._dp_fast(eq)
+    reps = solutions._iter_reps(eq, n)
+    assume(sum(1 for _ in islice(reps, REPS_REFERENCE_CAP + 1)) <= REPS_REFERENCE_CAP)
     try:
         build_hyperedges(eq, n, edge_cap=EDGE_REFERENCE_CAP)
     except EnumerationBudgetExceeded:
