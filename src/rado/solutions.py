@@ -40,13 +40,14 @@ equation from the edges closing at its pivot, enumerated once per
 
 from __future__ import annotations
 
+import sys
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import chain, compress, product
+from itertools import chain, compress, islice, product
 from math import comb, factorial, inf, isqrt, prod
-from operator import itemgetter, or_
+from operator import itemgetter, mul, or_
 
 from .equations import Equation
 
@@ -64,6 +65,11 @@ SIEVE_MODULUS = 5040
 REACH_TABLE_CAP = 2**24
 # most dp masks one side may have (one per fill count of its groups)
 DP_MASK_CAP = 256
+# the representative count is given up (None) past this much table work:
+# values x slots x (largest total + 1) x field bits, summed over groups
+COUNT_TABLE_CAP = 2**27
+# the memoryview format of a field of each width
+_FIELD_FORMAT = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
 class OverflowGuardError(ValueError):
@@ -75,7 +81,8 @@ class SolutionCapError(RuntimeError):
 
 
 class EnumerationBudgetExceeded(RuntimeError):
-    """Internal: canonical scan aborted after visiting too many nodes."""
+    """Internal: canonical scan aborted past its budget; args[0] says
+    which, "nodes" or "representatives"."""
 
 
 class EnumerationTimeout(RuntimeError):
@@ -122,11 +129,13 @@ class SolutionTuple:
 
 @dataclass(frozen=True)
 class EdgeSet:
-    """Hyperedges (distinct constrained values of solutions) within [1, n]."""
+    """Hyperedges (distinct constrained values of solutions) within [1, n],
+    and how many solution representatives the scan behind them yielded."""
 
     n: int
     edges: tuple[tuple[int, ...], ...]
     minimized: bool = False
+    reps: int = field(default=0, compare=False)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -351,7 +360,7 @@ class _Budget:
     def _refill(self) -> None:
         remaining = self.reserve + self.left
         if remaining < 0:
-            raise EnumerationBudgetExceeded()
+            raise EnumerationBudgetExceeded("nodes")
         if time.monotonic() > self.deadline:
             raise EnumerationTimeout()
         self.left = min(CLOCK_CHECK_NODES, remaining)
@@ -535,6 +544,47 @@ def _iter_reps(
                 yield (mvals, svals) if mat_lhs else (svals, mvals)
 
 
+def _count_reps(eq: Equation, n: int) -> int | None:
+    """How many representatives _iter_reps(eq, n) yields, or None (not
+    counted) for a distinct: equation or past COUNT_TABLE_CAP.
+
+    Each group is counted in the one-group layout of _dp_sides, with a
+    width-bit field per total in place of one bit: row[i] holds, at each
+    total up to cap, how many non-decreasing values fill i slots to it,
+    and a value joins by + and a shift of weight x width.  A side's
+    groups multiply into its count per total, and the representatives
+    are the sum over totals of lhs count x rhs count.  A free group is
+    counted like any other, over the values _scans bounds it by.  The
+    width fits the side's assignment count, so no field overflows."""
+    if eq.distinct_required:
+        return None
+    check_overflow(eq, n)
+    lhs, rhs = _plan(eq)
+    cap = _cap(lhs, rhs, n, eq.degree)
+    (scan,) = _scans(lhs + rhs, n, eq.degree, False, cap)
+    widths = [next((w for w in (8, 16, 32, 64) if _est_reps(side, scan) < 1 << w), 0)
+              for side in (lhs, rhs)]
+    work = sum(scan.bound[g] * g.size * (cap + 1) * w
+               for side, w in zip((lhs, rhs), widths) for g in side)
+    if not all(widths) or work > COUNT_TABLE_CAP:
+        return None
+    counts = []
+    for side, width in zip((lhs, rhs), widths):
+        fields = (1 << (cap + 1) * width) - 1
+        full = 1
+        for g in side:
+            pw = scan.powers[g.coefficient]
+            row = [1] + [0] * g.size
+            for v in range(1, scan.bound[g] + 1):
+                shift = pw[v] * width
+                for i in range(1, g.size + 1):
+                    row[i] = (row[i] + (row[i - 1] << shift)) & fields
+            full = full * row[-1] & fields
+        packed = full.to_bytes((cap + 1) * width // 8, sys.byteorder)
+        counts.append(memoryview(packed).cast(_FIELD_FORMAT[width]))
+    return sum(map(mul, *counts))
+
+
 def _value_set(groups, side_vals) -> set[int] | None:
     """The constrained values of one side's assignment, None if one repeats."""
     vals = [v for g, gv in zip(groups, side_vals) if not g.is_free for v in gv]
@@ -638,37 +688,41 @@ def build_hyperedges(
     n: int,
     minimize: bool = False,
     node_budget: int | None = None,
-    edge_cap: int | None = None,
+    rep_cap: int | None = None,
     closing: bool = False,
     deadline: float | None = None,
 ) -> EdgeSet:
     """Deduplicated hyperedges (distinct constrained value sets) in [1, n],
-    sorted by (largest value, tuple).
+    sorted by (largest value, tuple), and the number of solution
+    representatives (_iter_reps) they came from.
 
     With closing=True only the edges whose largest value is n are returned;
     concatenating them for m = 1..n gives the edges of [1, n] in order.
     With minimize=True edges that are supersets of other returned edges
     are removed; a coloring violates the minimized set iff it violates the
-    unminimized one.  Past node_budget or edge_cap the scan raises
-    EnumerationBudgetExceeded, past a time.monotonic() deadline
-    EnumerationTimeout.
+    unminimized one.  Past node_budget enumeration nodes or rep_cap
+    representatives the scan raises EnumerationBudgetExceeded, past a
+    time.monotonic() deadline EnumerationTimeout.
     """
     lhs, rhs = _plan(eq)
     keep = [not g.is_free for g in lhs + rhs]
     free = not all(keep)
-    cap = inf if edge_cap is None else edge_cap
+    reps = _iter_reps(eq, n, node_budget, closing, deadline)
+    if rep_cap is not None:
+        reps = islice(reps, rep_cap + 1)
     seen: set[tuple[int, ...]] = set()
-    for lv, rv in _iter_reps(eq, n, node_budget, closing, deadline):
+    count = 0
+    for count, (lv, rv) in enumerate(reps, 1):
         # a free variable is no vertex: only the constrained groups key an edge
         used = set().union(*compress(lv + rv, keep)) if free else set().union(*lv, *rv)
         seen.add(tuple(sorted(used)))
-        if len(seen) > cap:
-            raise EnumerationBudgetExceeded()
+    if rep_cap is not None and count > rep_cap:
+        raise EnumerationBudgetExceeded("representatives")
     edges = sorted(seen)
     edges.sort(key=itemgetter(-1))  # stable, so in (largest value, tuple) order
     if minimize:
         edges = _minimize(edges)
-    return EdgeSet(n=n, edges=tuple(edges), minimized=minimize)
+    return EdgeSet(n=n, edges=tuple(edges), minimized=minimize, reps=count)
 
 
 def _minimize(edges):

@@ -30,11 +30,21 @@ A backend supplies the check behind a placement:
   colors are not offered, so they are not nodes; `propagations` counts
   them.  A distinct: equation takes one dp_feasible call per placement
   instead, on the edges closing there, and reports 0 propagations.
+
+The backend rule counts solution representatives (_iter_reps), not
+edges: auto takes dp past AUTO_EDGE_CAP representatives of [1, n] or past
+AUTO_NODE_BUDGET enumeration nodes, and a forced edge backend is refused
+past EDGE_BACKEND_CAP representatives.  find_coloring asks the exact
+count (_count_reps) first and enumerates nothing when it decides;
+compute_rado's closing scans, and any instance too large to count, count
+representatives as they enumerate them, against the same caps.  Each
+switch to dp is logged at info on the "rado" logger.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -45,6 +55,7 @@ from .solutions import (
     build_hyperedges,
     check_overflow,
     dp_feasible,
+    _count_reps,
     _dp_sides,
     _grow,
 )
@@ -58,12 +69,15 @@ LOWER_BOUND = "lower-bound"
 
 BACKENDS = ("edge", "dp", "auto")
 
-# auto prefers edges while the instance stays small enough that per-node
-# counter updates beat the DP's bigint shifts; measured crossover ~2e4
+# auto prefers edges while [1, n] has at most this many solution
+# representatives (at least as many as its edges), small enough that
+# per-node counter updates beat the DP's bigint shifts
 AUTO_EDGE_CAP = 20_000
 EDGE_BACKEND_CAP = 1_000_000
 AUTO_NODE_BUDGET = 30_000_000
 ORACLE_CAP = 10**8
+
+log = logging.getLogger("rado")
 
 
 class SolverError(ValueError):
@@ -155,11 +169,11 @@ def find_coloring(
     check_overflow(eq, n)
     deadline = time.monotonic() + params.time_budget
     try:
-        edges = _edges(eq, n, params.backend, deadline)
+        found = _edges(eq, n, params.backend, deadline)
     except EnumerationTimeout:
         return SearchOutcome(BUDGET_EXHAUSTED, None, SearchStats(), "edge")
     start = time.monotonic()
-    outcome = _search(eq, n, r, edges, deadline)
+    outcome = _search(eq, n, r, None if found is None else found.edges, deadline)
     outcome.stats.elapsed_ms = int((time.monotonic() - start) * 1000)
     return outcome
 
@@ -172,28 +186,41 @@ def _validate(n: int, r: int) -> None:
 
 
 def _edges(eq, n, backend, deadline, closing=False, have=0):
-    """The edges of [1, n] (with closing, those whose largest value is n,
-    given have edges below n), or None for dp: auto moves to dp past
-    AUTO_EDGE_CAP edges in all or AUTO_NODE_BUDGET enumeration nodes, and
-    edge is refused past EDGE_BACKEND_CAP edges.  Raises
-    EnumerationTimeout if the deadline passes while enumerating."""
+    """The EdgeSet of [1, n] (with closing, of the edges whose largest
+    value is n, given have representatives below n), or None for dp.
+
+    One rule on representatives: auto moves to dp past AUTO_EDGE_CAP
+    representatives of [1, n] or AUTO_NODE_BUDGET enumeration nodes, and
+    edge is refused past EDGE_BACKEND_CAP representatives.  A one-shot
+    call asks _count_reps first and enumerates nothing when the count
+    decides; a closing or uncounted call counts representatives as it
+    enumerates them.  Raises EnumerationTimeout if the deadline passes
+    while enumerating."""
     if backend == "dp":
         return None
     auto = backend == "auto"
-    try:
-        return build_hyperedges(
-            eq, n, closing=closing,
-            node_budget=AUTO_NODE_BUDGET if auto else None,
-            edge_cap=(AUTO_EDGE_CAP if auto else EDGE_BACKEND_CAP) - have,
-            deadline=deadline,
-        ).edges
-    except EnumerationBudgetExceeded:
-        if auto:
-            return None
+    cap = AUTO_EDGE_CAP if auto else EDGE_BACKEND_CAP
+    count = None if closing else _count_reps(eq, n)
+    if count is not None and count > cap:
+        why = f"{count:,} representatives > AUTO_EDGE_CAP={cap:,}"
+    else:
+        try:
+            return build_hyperedges(
+                eq, n, closing=closing,
+                node_budget=AUTO_NODE_BUDGET if auto else None,
+                rep_cap=cap - have, deadline=deadline,
+            )
+        except EnumerationBudgetExceeded as exc:
+            why = (f"more than AUTO_NODE_BUDGET={AUTO_NODE_BUDGET:,} enumeration nodes"
+                   if exc.args[0] == "nodes" else
+                   f"more than AUTO_EDGE_CAP={cap:,} representatives")
+    if not auto:
         raise SolverError(
-            f"edge backend refused: more than {EDGE_BACKEND_CAP} edges; "
+            f"edge backend refused: more than {EDGE_BACKEND_CAP} representatives; "
             "use backend 'dp' or 'auto'"
-        ) from None
+        )
+    log.info("n=%d: %s, dp", n, why)
+    return None
 
 
 def _search(eq, n, r, edges, deadline) -> SearchOutcome:
@@ -492,6 +519,7 @@ def compute_rado(
     bounds: list[BoundReport] = []
     # every edge of [1, n], by (max, tuple); None once the search is on dp
     edges: list[tuple[int, ...]] | None = [] if params.backend != "dp" else None
+    reps = 0                              # the representatives behind edges
     colors: list[int] = []                # the witness: colors[v-1] is v's color
     n = 0
     while n < params.n_cap and time.monotonic() <= deadline:
@@ -500,12 +528,13 @@ def compute_rado(
         try:
             closing = None
             if edges is not None:
-                closing = _edges(eq, n, params.backend, deadline,
-                                 closing=True, have=len(edges))
-                if closing is None:
+                found = _edges(eq, n, params.backend, deadline, closing=True, have=reps)
+                if found is None:
                     edges = None
                 else:
+                    closing = found.edges
                     edges.extend(closing)
+                    reps += found.reps
             c = _try_extend(eq, colors, n, r, closing, deadline)
         except EnumerationTimeout:
             break

@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import isqrt
+from math import comb, isqrt
 
 import pytest
 
@@ -241,6 +241,24 @@ def test_reach_table_spares_the_budget(monkeypatch, table_cap, charge):
     assert len(build_hyperedges(eq, 15, closing=True, node_budget=charge)) == 140
     with pytest.raises(EnumerationBudgetExceeded):
         build_hyperedges(eq, 15, closing=True, node_budget=charge - 1)
+
+
+@pytest.mark.parametrize("k, n", [(4, 24), (8, 30)])
+def test_count_reps_fields_wider_than_a_byte(k, n):
+    # each k-value assignment in [1, n] meets one ~f, so the count is
+    # C(n + k - 1, k), and its count per total needs 16 and then 32 bits
+    eq = parse_equation("+".join(f"x{i}" for i in range(k)) + "=~f")
+    assert solutions._count_reps(eq, n) == comb(n + k - 1, k)
+
+
+def test_count_reps_not_counted():
+    # distinct: drops representatives the count cannot see
+    assert solutions._count_reps(parse_equation("x+y=z", distinct=True), 10) is None
+    # Pythagorean n=500: 500 values x 2 slots x 250,001 totals x 32 bits
+    # is past COUNT_TABLE_CAP; n=100 is not
+    pythagorean = parse_equation("x^2+y^2=z^2")
+    assert solutions._count_reps(pythagorean, 500) is None
+    assert solutions._count_reps(pythagorean, 100) == 52
 
 
 def test_edges_pythagorean_13():

@@ -1,3 +1,4 @@
+import logging
 import random
 from itertools import islice
 
@@ -396,7 +397,7 @@ def test_edge_and_dp_agree(text, n, r):
 def grouped_equations(draw):
     """1-4 terms per side, so 1-3 coefficient groups (coefficients 1-3),
     degree 1 or 2, and maybe a free variable on one side: the mask layouts
-    of the dp backend."""
+    of the dp backend and of the representative count."""
     exp = "^2" if draw(st.sampled_from((1, 2))) == 2 else ""
     sides = []
     for name in "xy":
@@ -407,6 +408,25 @@ def grouped_equations(draw):
         c = draw(st.integers(1, 3))
         sides[free].append(f"{c if c > 1 else ''}~f{exp}")
     return "=".join("+".join(side) for side in sides)
+
+
+# past this many representatives the scan stops and only the order is checked
+COUNT_REFERENCE_CAP = 20_000
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(text=grouped_equations(), n=st.integers(1, 16))
+def test_count_reps_matches_the_scan(text, n):
+    # fields too narrow for a side's counts carry into the next total, and
+    # a free group counted over the wrong values misses solutions
+    eq = parse_equation(text)
+    count = solutions._count_reps(eq, n)
+    reps = solutions._iter_reps(eq, n)
+    scanned = sum(1 for _ in islice(reps, COUNT_REFERENCE_CAP + 1))
+    if scanned > COUNT_REFERENCE_CAP:
+        assert count > COUNT_REFERENCE_CAP
+    else:
+        assert count == scanned
 
 
 # denser draws are skipped: the edge backend takes seconds to minutes on
@@ -425,12 +445,8 @@ def test_dp_agrees_with_edge_on_grouped_draws(text, n, r):
     # a wrong strike, a missed restore or a wrong mask index turns
     # colorable into uncolorable, or lets a solution through
     eq = parse_equation(text)
-    reps = solutions._iter_reps(eq, n)
-    assume(sum(1 for _ in islice(reps, REPS_REFERENCE_CAP + 1)) <= REPS_REFERENCE_CAP)
-    try:
-        build_hyperedges(eq, n, edge_cap=EDGE_REFERENCE_CAP)
-    except EnumerationBudgetExceeded:
-        assume(False)
+    assume(solutions._count_reps(eq, n) <= REPS_REFERENCE_CAP)
+    assume(len(build_hyperedges(eq, n)) <= EDGE_REFERENCE_CAP)
     dp = find_coloring(eq, n, r, SearchParams(backend="dp"))
     edge = find_coloring(eq, n, r, SearchParams(backend="edge"))
     assert dp.verdict == edge.verdict != BUDGET_EXHAUSTED
@@ -526,15 +542,55 @@ def test_param_validation():
 
 
 def test_edge_refusal_is_one_rule(monkeypatch):
-    # both entry points refuse forced edge past EDGE_BACKEND_CAP edges of
-    # [1, n], with one message
+    # both entry points refuse forced edge past EDGE_BACKEND_CAP
+    # representatives of [1, n], with one message
     monkeypatch.setattr(solver, "EDGE_BACKEND_CAP", 100)
     params = SearchParams(backend="edge")
-    with pytest.raises(SolverError, match="more than 100 edges") as direct:
+    with pytest.raises(SolverError, match="more than 100 representatives") as direct:
         find_coloring(family_equation(3), 105, 2, params)
-    with pytest.raises(SolverError, match="more than 100 edges") as grown:
+    with pytest.raises(SolverError, match="more than 100 representatives") as grown:
         compute_rado(family_equation(3), 2, params)
     assert str(direct.value) == str(grown.value)
+
+
+def enumerate_nothing(*args, **kwargs):
+    raise AssertionError("enumerated edges the count had ruled out")
+
+
+def test_forced_edge_refused_from_the_count(monkeypatch):
+    # 584,442,884 representatives: refused before anything is enumerated
+    monkeypatch.setattr(solver, "build_hyperedges", enumerate_nothing)
+    eq = parse_equation("x0+x1+x2+x3+x4=y0+y1+y2+y3+y4")
+    with pytest.raises(SolverError, match="more than 1000000 representatives"):
+        find_coloring(eq, 28, 3, SearchParams(backend="edge"))
+
+
+def test_auto_takes_dp_from_the_count(monkeypatch):
+    # the free variable lets 3,663,663 representatives share at most 2**9
+    # edges; dp refutes [1, 9] in one node
+    monkeypatch.setattr(solver, "build_hyperedges", enumerate_nothing)
+    eq = parse_equation("3x0+3x1+3x2+2x3=3y0+y1+3y2+2y3+~f")
+    out = find_coloring(eq, 9, 2)
+    assert (out.backend, out.verdict, out.stats.nodes) == ("dp", UNCOLORABLE, 1)
+
+
+def test_each_switch_to_dp_logs_one_line(caplog, monkeypatch):
+    caplog.set_level(logging.INFO, logger="rado")
+    eq = parse_equation("+".join(f"x{i}^2" for i in range(5)) + "=y0^2+y1^2")
+    out = find_coloring(eq, 31, 3, SearchParams(time_budget=0.01))
+    assert out.backend == "dp"
+    assert caplog.messages == ["n=31: 36,783 representatives > AUTO_EDGE_CAP=20,000, dp"]
+
+    # compute_rado switches once, from the representatives its closing
+    # scans count, and stays on dp
+    caplog.clear()
+    monkeypatch.setattr(solver, "AUTO_EDGE_CAP", 10)
+    out = compute_rado(SCHUR, 3)
+    assert (out.kind, out.value) == (EXACT, 14)
+    switch = next(b.n for b in out.bounds if b.backend == "dp")
+    assert caplog.messages == [
+        f"n={switch}: more than AUTO_EDGE_CAP=10 representatives, dp"
+    ]
 
 
 def test_auto_moves_to_dp_past_node_budget(monkeypatch):
@@ -544,6 +600,16 @@ def test_auto_moves_to_dp_past_node_budget(monkeypatch):
     assert (out.kind, out.value) == (expected.kind, expected.value) == (EXACT, 14)
     assert {b.backend for b in expected.bounds} == {"edge"}
     assert out.bounds[-1].backend == "dp"
+
+
+def test_node_budget_switch_logs_its_reason(caplog, monkeypatch):
+    # [1, 14] has few enough representatives to count, so the enumeration
+    # runs and stops at the node budget, which the log line names
+    caplog.set_level(logging.INFO, logger="rado")
+    monkeypatch.setattr(solver, "AUTO_NODE_BUDGET", 3)
+    out = find_coloring(SCHUR, 14, 3)
+    assert (out.backend, out.verdict) == ("dp", UNCOLORABLE)
+    assert caplog.messages == ["n=14: more than AUTO_NODE_BUDGET=3 enumeration nodes, dp"]
 
 
 @pytest.mark.parametrize("backend", ["auto", "edge", "dp"])
