@@ -83,19 +83,16 @@ def parse_certificate(text: str) -> Certificate:
     if not lines or lines[0].strip() != "rado-cert v1":
         raise CertificateError("missing 'rado-cert v1' header")
     fields: dict[str, str] = {}
-    claim = None
     colors: list[int] = []
     for line in lines[1:]:
         line = line.strip()
         if not line:
             continue
         tag, _, rest = line.partition(" ")
-        if tag in ("e", "n", "r"):
+        if tag in ("e", "n", "r", "claim"):
             if tag in fields:
                 raise CertificateError(f"duplicate '{tag}' line")
             fields[tag] = rest.strip()
-        elif tag == "claim":
-            claim = rest.strip()
         elif tag == "k":
             try:
                 colors.extend(int(tok) for tok in rest.split())
@@ -111,7 +108,7 @@ def parse_certificate(text: str) -> Certificate:
         r = int(fields["r"])
     except ValueError:
         raise CertificateError("n and r must be integers") from None
-    return Certificate(fields["e"], n, r, tuple(colors), claim)
+    return Certificate(fields["e"], n, r, tuple(colors), fields.get("claim"))
 
 
 def verify(cert: Certificate) -> Verdict:

@@ -231,24 +231,25 @@ def import_model(model: list[int], inst: CnfInstance) -> Coloring:
 
     Vertices constrained by clauses must be assigned; vertices in no
     clause default to color 1.  Direct-encoding models that violate
-    at-most-one are rejected.
+    at-most-one, or at-least-one at a constrained vertex, are rejected.
     """
     assigned: dict[int, bool] = {}
     for lit in model:
         if abs(lit) > inst.variable_count:
             raise CnfError(f"model literal {lit} out of range")
         assigned[abs(lit)] = lit > 0
-    missing = set(range(1, inst.variable_count + 1)).difference(assigned)
-    if missing:     # a set over every literal, so built only when needed
-        missing &= inst.constrained_variables()
     colors: list[int] = []
     if inst.encoding == BINARY:
+        missing = set(range(1, inst.variable_count + 1)).difference(assigned)
+        if missing:     # a set over every literal, so built only when needed
+            missing &= inst.constrained_variables()
         for v in range(1, inst.n + 1):
             if v in missing:
                 raise CnfError(f"incomplete model: variable {v} unassigned")
             colors.append(2 if assigned.get(v) else 1)
     elif inst.encoding == DIRECT:
         r = inst.r
+        constrained = None  # a set over every literal, so built only when needed
         for v in range(1, inst.n + 1):
             own = range((v - 1) * r + 1, v * r + 1)
             true_colors = [c for c, var in enumerate(own, 1) if assigned.get(var)]
@@ -256,8 +257,13 @@ def import_model(model: list[int], inst: CnfInstance) -> Coloring:
                 raise CnfError(
                     f"vertex {v} assigned colors {true_colors}: at-most-one violated"
                 )
-            if not true_colors and not missing.isdisjoint(own):
-                raise CnfError(f"incomplete model: vertex {v} has no color")
+            if not true_colors:
+                if constrained is None:
+                    constrained = inst.constrained_variables()
+                if not constrained.isdisjoint(own):
+                    if all(var in assigned for var in own):
+                        raise CnfError(f"vertex {v} has no color: at-least-one violated")
+                    raise CnfError(f"incomplete model: vertex {v} has no color")
             colors.append(true_colors[0] if true_colors else 1)
     else:
         raise CnfError(f"unknown encoding {inst.encoding!r}")

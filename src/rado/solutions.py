@@ -17,9 +17,9 @@ materialized table.  Where its values' powers fall into far fewer
 residue classes mod SIEVE_MODULUS than it has values, only the classes
 whose residue can complete the partial sum to a table total's residue
 are probed, each cut to the slot's range by bisection.  This residue
-sieve yields the same values in the same order, and charges the budget
-what the plain scan would, so backend choices and deadline checks do not
-depend on it.  It is skipped for a pinned slot and below eight values per
+sieve yields the same values in the same order, and charges the clock
+what the plain scan would, so deadline checks fall where they would
+without it.  It is skipped for a pinned slot and below eight values per
 class, decided from one cached count per coefficient.
 
 The streamed side's last group is pruned from below too.  A table of the
@@ -28,8 +28,7 @@ slot skip a value from which no probe total can be reached.  It is built
 per pass only where at least two slots loop, and only while largest
 probe total x slots x bound is at most REACH_TABLE_CAP.  The yields and
 their order stay the same, but a pruned subtree is never entered and so
-never charged: a scan charges the enumeration budget less than it would
-without the table, and may finish under a node budget it would exceed.
+never charged: the clock is read less often than without the table.
 
 A distinct: equation is enumerated like any other, and _iter_reps drops
 each representative with a repeated constrained value; no other
@@ -81,8 +80,7 @@ class SolutionCapError(RuntimeError):
 
 
 class EnumerationBudgetExceeded(RuntimeError):
-    """Internal: canonical scan aborted past its budget; args[0] says
-    which, "nodes" or "representatives"."""
+    """Internal: hyperedge scan aborted past its representative cap."""
 
 
 class EnumerationTimeout(RuntimeError):
@@ -336,35 +334,21 @@ def _reach_rows(pw, bound, low, high, top):
 
 
 class _Budget:
-    """Node allowance of one enumeration, and optionally a deadline.
+    """The deadline of one enumeration, if any: the clock is read once per
+    CLOCK_CHECK_NODES charged nodes, not at every charge."""
 
-    With a deadline the allowance is handed out CLOCK_CHECK_NODES at a
-    time and the clock is read once per handout, so the per-node cost is
-    the same with or without one.
-    """
+    __slots__ = ("left", "deadline")
 
-    __slots__ = ("left", "reserve", "deadline")
-
-    def __init__(self, nodes: int | None, deadline: float | None = None):
+    def __init__(self, deadline: float | None = None):
         self.deadline = deadline
-        self.left, self.reserve = nodes, 0
-        if deadline is not None:
-            self.left, self.reserve = 0, inf if nodes is None else nodes
+        self.left = inf if deadline is None else 0
 
     def spend(self, amount: int) -> None:
-        if self.left is not None:
-            self.left -= amount
-            if self.left < 0:
-                self._refill()
-
-    def _refill(self) -> None:
-        remaining = self.reserve + self.left
-        if remaining < 0:
-            raise EnumerationBudgetExceeded("nodes")
-        if time.monotonic() > self.deadline:
-            raise EnumerationTimeout()
-        self.left = min(CLOCK_CHECK_NODES, remaining)
-        self.reserve = remaining - self.left
+        self.left -= amount
+        if self.left < 0:
+            if time.monotonic() > self.deadline:
+                raise EnumerationTimeout()
+            self.left = CLOCK_CHECK_NODES
 
 
 def _iter_side(groups, scan, cap, probe, budget):
@@ -496,13 +480,8 @@ def _iter_side(groups, scan, cap, probe, budget):
     yield from rec(0, 0, ())
 
 
-def _iter_reps(
-    eq: Equation,
-    n: int,
-    node_budget: int | None = None,
-    closing: bool = False,
-    deadline: float | None = None,
-):
+def _iter_reps(eq: Equation, n: int, closing: bool = False,
+               deadline: float | None = None):
     """Yield every canonical solution representative within [1, n]; with
     closing, only those whose largest constrained value is n.
 
@@ -512,7 +491,7 @@ def _iter_reps(
     check_overflow(eq, n)
     lhs, rhs = _plan(eq)
     distinct = eq.distinct_required
-    budget = _Budget(node_budget, deadline)
+    budget = _Budget(deadline)
     cap = _cap(lhs, rhs, n, eq.degree)
     for scan in _scans(lhs + rhs, n, eq.degree, closing, cap):
         est_lhs, est_rhs = _est_reps(lhs, scan), _est_reps(rhs, scan)
@@ -687,7 +666,6 @@ def build_hyperedges(
     eq: Equation,
     n: int,
     minimize: bool = False,
-    node_budget: int | None = None,
     rep_cap: int | None = None,
     closing: bool = False,
     deadline: float | None = None,
@@ -700,14 +678,14 @@ def build_hyperedges(
     concatenating them for m = 1..n gives the edges of [1, n] in order.
     With minimize=True edges that are supersets of other returned edges
     are removed; a coloring violates the minimized set iff it violates the
-    unminimized one.  Past node_budget enumeration nodes or rep_cap
-    representatives the scan raises EnumerationBudgetExceeded, past a
-    time.monotonic() deadline EnumerationTimeout.
+    unminimized one.  Past rep_cap representatives the scan raises
+    EnumerationBudgetExceeded, past a time.monotonic() deadline
+    EnumerationTimeout.
     """
     lhs, rhs = _plan(eq)
     keep = [not g.is_free for g in lhs + rhs]
     free = not all(keep)
-    reps = _iter_reps(eq, n, node_budget, closing, deadline)
+    reps = _iter_reps(eq, n, closing, deadline)
     if rep_cap is not None:
         reps = islice(reps, rep_cap + 1)
     seen: set[tuple[int, ...]] = set()
@@ -717,7 +695,7 @@ def build_hyperedges(
         used = set().union(*compress(lv + rv, keep)) if free else set().union(*lv, *rv)
         seen.add(tuple(sorted(used)))
     if rep_cap is not None and count > rep_cap:
-        raise EnumerationBudgetExceeded("representatives")
+        raise EnumerationBudgetExceeded()
     edges = sorted(seen)
     edges.sort(key=itemgetter(-1))  # stable, so in (largest value, tuple) order
     if minimize:

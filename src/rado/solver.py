@@ -32,13 +32,12 @@ A backend supplies the check behind a placement:
   instead, on the edges closing there, and reports 0 propagations.
 
 The backend rule counts solution representatives (_iter_reps), not
-edges: auto takes dp past AUTO_EDGE_CAP representatives of [1, n] or past
-AUTO_NODE_BUDGET enumeration nodes, and a forced edge backend is refused
-past EDGE_BACKEND_CAP representatives.  find_coloring asks the exact
-count (_count_reps) first and enumerates nothing when it decides;
-compute_rado's closing scans, and any instance too large to count, count
-representatives as they enumerate them, against the same caps.  Each
-switch to dp is logged at info on the "rado" logger.
+edges: auto takes dp past AUTO_EDGE_CAP representatives of [1, n], and a
+forced edge backend is refused past EDGE_BACKEND_CAP.  find_coloring asks
+the exact count (_count_reps) first and enumerates nothing when it
+decides; compute_rado's closing scans, and any instance too large to
+count, count representatives as they enumerate them, against the same
+caps.  Each switch to dp is logged at info on the "rado" logger.
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ BACKENDS = ("edge", "dp", "auto")
 # per-node counter updates beat the DP's bigint shifts
 AUTO_EDGE_CAP = 20_000
 EDGE_BACKEND_CAP = 1_000_000
-AUTO_NODE_BUDGET = 30_000_000
 ORACLE_CAP = 10**8
 
 log = logging.getLogger("rado")
@@ -190,11 +188,10 @@ def _edges(eq, n, backend, deadline, closing=False, have=0):
     value is n, given have representatives below n), or None for dp.
 
     One rule on representatives: auto moves to dp past AUTO_EDGE_CAP
-    representatives of [1, n] or AUTO_NODE_BUDGET enumeration nodes, and
-    edge is refused past EDGE_BACKEND_CAP representatives.  A one-shot
-    call asks _count_reps first and enumerates nothing when the count
-    decides; a closing or uncounted call counts representatives as it
-    enumerates them.  Raises EnumerationTimeout if the deadline passes
+    representatives of [1, n], and edge is refused past EDGE_BACKEND_CAP.
+    A one-shot call asks _count_reps first and enumerates nothing when the
+    count decides; a closing or uncounted call counts representatives as
+    it enumerates them.  Raises EnumerationTimeout if the deadline passes
     while enumerating."""
     if backend == "dp":
         return None
@@ -205,15 +202,10 @@ def _edges(eq, n, backend, deadline, closing=False, have=0):
         why = f"{count:,} representatives > AUTO_EDGE_CAP={cap:,}"
     else:
         try:
-            return build_hyperedges(
-                eq, n, closing=closing,
-                node_budget=AUTO_NODE_BUDGET if auto else None,
-                rep_cap=cap - have, deadline=deadline,
-            )
-        except EnumerationBudgetExceeded as exc:
-            why = (f"more than AUTO_NODE_BUDGET={AUTO_NODE_BUDGET:,} enumeration nodes"
-                   if exc.args[0] == "nodes" else
-                   f"more than AUTO_EDGE_CAP={cap:,} representatives")
+            return build_hyperedges(eq, n, closing=closing, rep_cap=cap - have,
+                                    deadline=deadline)
+        except EnumerationBudgetExceeded:
+            why = f"more than AUTO_EDGE_CAP={cap:,} representatives"
     if not auto:
         raise SolverError(
             f"edge backend refused: more than {EDGE_BACKEND_CAP} representatives; "

@@ -199,6 +199,13 @@ def test_parse_rejects_duplicate_line_and_non_integer_n():
         parse_certificate("rado-cert v1\ne x+y=z\nn one\nr 2\nk 1\n")
 
 
+def test_parse_rejects_duplicate_claim_line():
+    # write_certificate writes at most one claim; a second is not a correction
+    text = "rado-cert v1\ne x+y=z\nn 1\nr 2\nclaim colorable\nclaim rado-exact 5\nk 1\n"
+    with pytest.raises(CertificateError, match="duplicate 'claim' line"):
+        parse_certificate(text)
+
+
 def test_verify_negative_n_is_malformed():
     verdict = verify(Certificate("x+y=z", -1, 2, ()))
     assert (verdict.status, verdict.reason) == (MALFORMED, "negative n -1")

@@ -163,6 +163,13 @@ def test_import_direct_rejects_incomplete_model():
         import_model([1, -2, -3], inst)
 
 
+def test_import_direct_rejects_vertex_with_every_color_false():
+    eq = parse_equation("x+y=z")
+    inst = export_cnf(eq, build_hyperedges(eq, 4), 3)
+    with pytest.raises(CnfError, match="^vertex 1 has no color: at-least-one violated$"):
+        import_model([-v for v in range(1, 13)], inst)
+
+
 def test_import_direct_unconstrained_vertices_default_to_color_one():
     # a direct instance whose clauses leave vertex 3 (variables 5, 6) out
     inst = CnfInstance("x+y=z", 3, 2, DIRECT, 6,

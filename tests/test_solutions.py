@@ -8,7 +8,6 @@ from rado import solutions, solver
 from rado.equations import parse_equation, family_equation
 from rado.solutions import (
     REACH_TABLE_CAP,
-    EnumerationBudgetExceeded,
     OverflowGuardError,
     SolutionCapError,
     build_hyperedges,
@@ -206,13 +205,25 @@ def test_sieve_engaged_at_small_n(monkeypatch, modulus):
     test_closing_edges_concatenate_to_one_shot()
 
 
-def test_sieve_charges_the_plain_scan_budget():
-    # n=2000 is past the sieve's gate; the budget still counts every value
-    # the plain scan would probe, so backend choices stay the same
-    eq = parse_equation("x^2+y^2=z^2")
-    assert len(build_hyperedges(eq, 2000, node_budget=1_571_916)) == 1981
-    with pytest.raises(EnumerationBudgetExceeded):
-        build_hyperedges(eq, 2000, node_budget=1_571_915)
+def charged(monkeypatch):
+    """The nodes charged to the enumeration clock, summed from here on."""
+    total = [0]
+    spend = solutions._Budget.spend
+
+    def counted(self, amount):
+        total[0] += amount
+        spend(self, amount)
+
+    monkeypatch.setattr(solutions._Budget, "spend", counted)
+    return total
+
+
+def test_sieve_charges_the_plain_scan_budget(monkeypatch):
+    # n=2000 is past the sieve's gate; the clock is still charged every
+    # value the plain scan would probe, so deadline checks stay the same
+    total = charged(monkeypatch)
+    assert len(build_hyperedges(parse_equation("x^2+y^2=z^2"), 2000)) == 1981
+    assert total[0] == 1_571_916
 
 
 def test_reach_table_off(monkeypatch):
@@ -237,10 +248,9 @@ def test_reach_table_spares_the_budget(monkeypatch, table_cap, charge):
     # a pruned subtree is never entered, so it is not charged: the k=9
     # closing scan at n=15 costs 1,431 nodes with the table, 6,479 without
     monkeypatch.setattr("rado.solutions.REACH_TABLE_CAP", table_cap)
-    eq = family_equation(9)
-    assert len(build_hyperedges(eq, 15, closing=True, node_budget=charge)) == 140
-    with pytest.raises(EnumerationBudgetExceeded):
-        build_hyperedges(eq, 15, closing=True, node_budget=charge - 1)
+    total = charged(monkeypatch)
+    assert len(build_hyperedges(family_equation(9), 15, closing=True)) == 140
+    assert total[0] == charge
 
 
 @pytest.mark.parametrize("k, n", [(4, 24), (8, 30)])

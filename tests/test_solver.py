@@ -1,4 +1,5 @@
 import logging
+import math
 import random
 from itertools import islice
 
@@ -10,7 +11,6 @@ from rado.certificate import VALID, Certificate, verify
 from rado.equations import family_equation, parse_equation
 from rado.solutions import (
     CLOCK_CHECK_NODES,
-    EnumerationBudgetExceeded,
     EnumerationTimeout,
     build_hyperedges,
 )
@@ -176,7 +176,7 @@ def test_rado_budget_gives_lower_bound(monkeypatch):
 def test_enumeration_budget_reads_clock_once_per_chunk(monkeypatch):
     clock = FakeClock()
     monkeypatch.setattr(solutions, "time", clock)
-    budget = solutions._Budget(None, deadline=10.0)
+    budget = solutions._Budget(deadline=10.0)
     for _ in range(3 * CLOCK_CHECK_NODES):
         budget.spend(1)
     assert clock.reads == 3
@@ -185,18 +185,9 @@ def test_enumeration_budget_reads_clock_once_per_chunk(monkeypatch):
         for _ in range(CLOCK_CHECK_NODES + 1):
             budget.spend(1)
 
-    # the node allowance stays exact, with or without a deadline
-    clock.now = 0.0
-    for deadline in (None, 10.0):
-        budget = solutions._Budget(5, deadline)
-        for _ in range(5):
-            budget.spend(1)
-        with pytest.raises(EnumerationBudgetExceeded):
-            budget.spend(1)
-
     # without a deadline the clock is never read
     reads = clock.reads
-    budget = solutions._Budget(None)
+    budget = solutions._Budget()
     for _ in range(3 * CLOCK_CHECK_NODES):
         budget.spend(1)
     assert clock.reads == reads
@@ -593,23 +584,12 @@ def test_each_switch_to_dp_logs_one_line(caplog, monkeypatch):
     ]
 
 
-def test_auto_moves_to_dp_past_node_budget(monkeypatch):
-    expected = compute_rado(SCHUR, 3)
-    monkeypatch.setattr(solver, "AUTO_NODE_BUDGET", 3)
-    out = compute_rado(SCHUR, 3)
-    assert (out.kind, out.value) == (expected.kind, expected.value) == (EXACT, 14)
-    assert {b.backend for b in expected.bounds} == {"edge"}
-    assert out.bounds[-1].backend == "dp"
-
-
-def test_node_budget_switch_logs_its_reason(caplog, monkeypatch):
-    # [1, 14] has few enough representatives to count, so the enumeration
-    # runs and stops at the node budget, which the log line names
-    caplog.set_level(logging.INFO, logger="rado")
-    monkeypatch.setattr(solver, "AUTO_NODE_BUDGET", 3)
-    out = find_coloring(SCHUR, 14, 3)
-    assert (out.backend, out.verdict) == ("dp", UNCOLORABLE)
-    assert caplog.messages == ["n=14: more than AUTO_NODE_BUDGET=3 enumeration nodes, dp"]
+def test_auto_keeps_edge_for_pythagorean_past_8800():
+    # [1, 8800] is too large to count, and its enumeration charges more
+    # than 30 M plain-scan nodes; its 10,801 representatives are what decide
+    found = solver._edges(parse_equation("x^2+y^2=z^2"), 8800, "auto", math.inf)
+    assert isinstance(found, solutions.EdgeSet)
+    assert len(found) == found.reps == 10_801
 
 
 @pytest.mark.parametrize("backend", ["auto", "edge", "dp"])
