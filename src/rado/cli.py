@@ -110,8 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="list solutions or hyperedges in [1, N]")
     p.add_argument("--max", type=int, default=None, metavar="N")
     p.add_argument("--edges", action="store_true", help="print deduplicated edges")
-    p.add_argument("--minimize", action="store_true",
-                   help="with --edges, drop edges subsumed by subsets")
     p.set_defaults(func=cmd_solutions)
 
     sub.add_parser("color", parents=[equation, size, colors, search, as_json],
@@ -154,7 +152,7 @@ def cmd_solutions(args) -> int:
         print("error: --max is required", file=sys.stderr)
         return 2
     if args.edges:
-        edge_set = build_hyperedges(eq, args.max, minimize=args.minimize)
+        edge_set = build_hyperedges(eq, args.max)
         if args.json:
             print(json.dumps(edges_to_json(eq, edge_set)))
         else:

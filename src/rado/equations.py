@@ -205,12 +205,12 @@ def parse_equation(text: str, distinct: bool = False) -> Equation:
     EquationError for semantic ones (mixed degrees, duplicate variables,
     all variables free, bad coefficients).
     """
-    stripped = text.lstrip()
-    if stripped.startswith(DISTINCT_MARKER):
-        distinct = True
-        text = stripped[len(DISTINCT_MARKER) :]
-
     sc = _Scanner(text)
+    sc.skip_ws()
+    if text.startswith(DISTINCT_MARKER, sc.pos):
+        distinct = True
+        sc.pos += len(DISTINCT_MARKER)
+
     lhs, lhs_free, lhs_exps = _parse_side(sc)
     if sc.peek() != "=":
         raise ParseError(sc.pos, "'='")

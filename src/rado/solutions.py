@@ -132,7 +132,6 @@ class EdgeSet:
 
     n: int
     edges: tuple[tuple[int, ...], ...]
-    minimized: bool = False
     reps: int = field(default=0, compare=False)
 
     def __len__(self) -> int:
@@ -604,12 +603,12 @@ def iter_canonical_solutions(eq: Equation, n: int):
     return _to_solutions(*_plan(eq), _iter_reps(eq, n))
 
 
-def enumerate_solutions(eq: Equation, n: int, limit: int = MAX_SOLUTIONS) -> list[SolutionTuple]:
+def enumerate_solutions(eq: Equation, n: int) -> list[SolutionTuple]:
     """Every solution with constrained values in [1, n], each assignment
     emitted once, sorted lexicographically by canonical variable order.
 
-    Free variables may exceed n.  Raises
-    SolutionCapError when the ordered listing would exceed limit entries.
+    Free variables may exceed n.  Raises SolutionCapError when the ordered
+    listing would exceed MAX_SOLUTIONS entries.
     """
     lhs, rhs = _plan(eq)
     order = eq.variables
@@ -617,9 +616,9 @@ def enumerate_solutions(eq: Equation, n: int, limit: int = MAX_SOLUTIONS) -> lis
     total = 0
     for rep in _iter_reps(eq, n):
         total += prod(map(_n_perms, chain(*rep)))
-        if total > limit:
+        if total > MAX_SOLUTIONS:
             raise SolutionCapError(
-                f"listing exceeds {limit} solutions; raise limit or lower n"
+                f"listing exceeds {MAX_SOLUTIONS} solutions; lower n"
             )
         out.extend(_expand(lhs, rhs, rep))
     out.sort(key=lambda s: tuple(
@@ -665,7 +664,6 @@ def _expand(lhs, rhs, rep):
 def build_hyperedges(
     eq: Equation,
     n: int,
-    minimize: bool = False,
     rep_cap: int | None = None,
     closing: bool = False,
     deadline: float | None = None,
@@ -676,11 +674,8 @@ def build_hyperedges(
 
     With closing=True only the edges whose largest value is n are returned;
     concatenating them for m = 1..n gives the edges of [1, n] in order.
-    With minimize=True edges that are supersets of other returned edges
-    are removed; a coloring violates the minimized set iff it violates the
-    unminimized one.  Past rep_cap representatives the scan raises
-    EnumerationBudgetExceeded, past a time.monotonic() deadline
-    EnumerationTimeout.
+    Past rep_cap representatives the scan raises EnumerationBudgetExceeded,
+    past a time.monotonic() deadline EnumerationTimeout.
     """
     lhs, rhs = _plan(eq)
     keep = [not g.is_free for g in lhs + rhs]
@@ -698,24 +693,7 @@ def build_hyperedges(
         raise EnumerationBudgetExceeded()
     edges = sorted(seen)
     edges.sort(key=itemgetter(-1))  # stable, so in (largest value, tuple) order
-    if minimize:
-        edges = _minimize(edges)
-    return EdgeSet(n=n, edges=tuple(edges), minimized=minimize, reps=count)
-
-
-def _minimize(edges):
-    """Drop edges that are supersets of other edges (subset subsumption)."""
-    kept_masks: list[int] = []
-    kept = []
-    for e in sorted(edges, key=lambda e: (len(e), e)):
-        m = 0
-        for v in e:
-            m |= 1 << v
-        if any((km & m) == km for km in kept_masks):
-            continue
-        kept_masks.append(m)
-        kept.append(e)
-    return sorted(kept, key=lambda e: (e[-1], e))
+    return EdgeSet(n=n, edges=tuple(edges), reps=count)
 
 
 def edges_to_json(eq: Equation, edge_set: EdgeSet) -> dict:

@@ -39,6 +39,9 @@ def test_solutions_requires_max(capsys):
     code, _, err = run(capsys, "solutions", "x+y=z")
     assert code == 2
     assert "--max" in err
+    code, _, err = run(capsys, "solutions", "x+y=z", "--max", "0")
+    assert code == 2
+    assert "bound must be >= 1" in err
 
 
 def test_solutions_edges_json_schema(capsys):
@@ -386,7 +389,6 @@ SURFACE = {
         "equation": POSITIONAL,
         "max": (("--max",), None, int, None, False, None),
         "edges": (("--edges",), *FLAG),
-        "minimize": (("--minimize",), *FLAG),
         "distinct": (("--distinct",), *FLAG),
     },
     "color": {

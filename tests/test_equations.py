@@ -36,6 +36,8 @@ def test_schur_parse():
 def test_mixed_degree_rejected():
     with pytest.raises(EquationError, match="mixed degrees"):
         parse_equation("x^2+y=z^2")
+    with pytest.raises(EquationError, match="mixed degrees"):
+        parse_equation("x^2+y^1=z^2")
 
 
 def test_explicit_exponent_one():
@@ -48,11 +50,22 @@ def test_syntax_error_position():
     assert exc.value.position == 4
     with pytest.raises(ParseError, match="expected '='"):
         parse_equation("x+y")
+    with pytest.raises(ParseError, match="expected end of input"):
+        parse_equation("x+y=z z")
+    with pytest.raises(ParseError, match="expected exponent 1 or 2"):
+        parse_equation("x^3=y^3")
+    # positions count in the text as typed, marker and indentation included
+    for text in ("x+y=z)", "distinct: x+y=z)", "   distinct:x+y=z)"):
+        with pytest.raises(ParseError) as exc:
+            parse_equation(text)
+        assert text[exc.value.position] == ")", text
 
 
 def test_zero_coefficient():
     with pytest.raises(EquationError, match="coefficient"):
         parse_equation("0x+y=z")
+    with pytest.raises(EquationError, match="exceeds cap"):
+        parse_equation("10000000x=y")
 
 
 def test_duplicate_variable():
@@ -141,6 +154,15 @@ def test_variable_cap():
     lhs = tuple(Term(1, f"a{i}") for i in range(64))
     with pytest.raises(EquationError, match="too many"):
         Equation(lhs=lhs, rhs=(Term(1, "z"),), degree=1)
+    with pytest.raises(EquationError, match="invalid variable name"):
+        Term(1, "x y")
+    z = (Term(1, "z"),)
+    with pytest.raises(EquationError, match="at least one term"):
+        Equation(lhs=(), rhs=z, degree=1)
+    with pytest.raises(EquationError, match="degree must be 1 or 2"):
+        Equation(lhs=(Term(1, "x"),), rhs=z, degree=3)
+    with pytest.raises(EquationError, match="free variables not in equation"):
+        Equation(lhs=(Term(1, "x"),), rhs=z, degree=1, free_vars=frozenset({"w"}))
 
 
 def test_holds():

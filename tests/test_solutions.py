@@ -275,21 +275,15 @@ def test_edges_pythagorean_13():
     eq = parse_equation("x^2+y^2=z^2")
     es = build_hyperedges(eq, 13)
     assert es.edges == ((3, 4, 5), (6, 8, 10), (5, 12, 13))
-    assert es.n == 13 and not es.minimized
+    assert es.n == 13
 
 
 def test_edges_three_squares_3():
     eq = parse_equation("x^2+y^2+z^2=w^2")
     es = build_hyperedges(eq, 3)
     assert es.edges == ((1, 2, 3),)
-
-
-def test_edges_schur_minimized():
-    eq = parse_equation("x+y=z")
-    es = build_hyperedges(eq, 3, minimize=True)
-    assert es.edges == ((1, 2),)
-    full = build_hyperedges(eq, 3)
-    assert full.edges == ((1, 2), (1, 2, 3))
+    # 1+1=2 repeats a value, so x+y=z has a 2-edge
+    assert build_hyperedges(parse_equation("x+y=z"), 3).edges == ((1, 2), (1, 2, 3))
 
 
 def test_edge_monotonicity():
@@ -300,24 +294,6 @@ def test_edge_monotonicity():
         smaller = set(build_hyperedges(eq, n).edges)
         larger = set(build_hyperedges(eq, n + 1).edges)
         assert smaller <= larger
-
-
-def test_subsumption_preserves_violations():
-    rng = random.Random(13)
-    eq = parse_equation("x+y=z")
-    n = 9
-    full = build_hyperedges(eq, n)
-    mini = build_hyperedges(eq, n, minimize=True)
-    assert set(mini.edges) < set(full.edges)
-    for _ in range(200):
-        coloring = [rng.randint(1, 2) for _ in range(n)]
-
-        def violated(es):
-            return any(
-                len({coloring[v - 1] for v in e}) == 1 for e in es.edges
-            )
-
-        assert violated(full) == violated(mini)
 
 
 def test_no_duplicate_edges_and_sorted():
@@ -348,6 +324,8 @@ def test_dp_feasible_validation():
         dp_feasible(schur, {1, 2}, 3)
     with pytest.raises(ValueError):
         dp_feasible(schur, {1, 5}, 4)
+    with pytest.raises(ValueError, match="must not exceed pivot"):
+        dp_feasible(schur, {1, 5}, 1)
 
 
 def test_dp_feasible_matches_edges():
@@ -414,6 +392,14 @@ def test_dp_feasible_distinct_matches_naive(text):
         assert dp_feasible(eq, cls, pivot) == expected, (text, sorted(cls), pivot)
 
 
+def test_closing_cache_drops_the_oldest_past_256(monkeypatch):
+    monkeypatch.setattr(solutions, "_closing_cache", {})
+    eq = parse_equation("x+y=z", distinct=True)
+    for pivot in range(1, 301):
+        dp_feasible(eq, {pivot}, pivot)
+    assert list(solutions._closing_cache) == [(eq, p) for p in range(45, 301)]
+
+
 def test_canonical_iteration_collapses_permutations():
     eq = parse_equation("x^2+y^2=z^2")
     reps = list(iter_canonical_solutions(eq, 5))
@@ -421,9 +407,10 @@ def test_canonical_iteration_collapses_permutations():
     assert reps[0].values == {"x": 3, "y": 4, "z": 5}
 
 
-def test_solution_cap():
-    with pytest.raises(SolutionCapError):
-        enumerate_solutions(family_equation(17), 23, limit=1000)
+def test_solution_cap(monkeypatch):
+    monkeypatch.setattr(solutions, "MAX_SOLUTIONS", 1000)
+    with pytest.raises(SolutionCapError, match="exceeds 1000 solutions"):
+        enumerate_solutions(family_equation(17), 23)
 
 
 def test_overflow_guard():
@@ -432,6 +419,8 @@ def test_overflow_guard():
         check_overflow(eq, 3_000_000)
     with pytest.raises(OverflowGuardError):
         build_hyperedges(eq, 3_000_000)
+    with pytest.raises(ValueError, match="bound must be >= 1"):
+        check_overflow(eq, 0)
 
 
 def test_dp_mask_cap_refuses_before_growing(monkeypatch):
@@ -469,3 +458,5 @@ def test_render_solution():
     eq2 = parse_equation("x^2+y^2=z^2")
     s2 = enumerate_solutions(eq2, 5)[0]
     assert s2.render(eq2) == "3^2+4^2=5^2"
+    eq3 = parse_equation("x+2y=z")
+    assert enumerate_solutions(eq3, 3)[0].render(eq3) == "1+2*1=3"

@@ -253,6 +253,31 @@ def test_rado_deadline_covers_enumeration(monkeypatch):
     assert_valid(SCHUR, out.witness)
 
 
+def test_rado_deadline_checked_before_the_cold_search(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(solver, "time", clock)
+    monkeypatch.setattr(solutions, "time", clock)
+    extend, failed = solver._try_extend, []
+
+    def late(*args):
+        c = extend(*args)
+        if c is None:
+            failed.append(args[2])
+            clock.now = 1000.0     # the deadline passes as the warm step fails
+        return c
+
+    def search(*args):
+        raise AssertionError("cold search started past the deadline")
+
+    monkeypatch.setattr(solver, "_try_extend", late)
+    monkeypatch.setattr(solver, "_search", search)
+    out = compute_rado(SCHUR, 2, SearchParams(time_budget=100))
+    [n] = failed                   # one warm step failed, and the run stopped there
+    assert (out.kind, out.value, out.witness.n) == (LOWER_BOUND, n - 1, n - 1)
+    assert max(b.n for b in out.bounds) == n - 1
+    assert_valid(SCHUR, out.witness)
+
+
 @pytest.mark.parametrize("backend", ["edge", "auto"])
 def test_find_coloring_deadline_covers_enumeration(monkeypatch, backend):
     clock = FakeClock()
@@ -530,6 +555,11 @@ def test_param_validation():
     with pytest.raises(SolverError):
         SearchParams(time_budget=float("nan"))
     SearchParams(time_budget=float("inf"))
+    with pytest.raises(ValueError, match="length must equal n"):
+        Coloring(3, 2, (1, 2))
+    for colors in ((1, 3), (0, 1)):
+        with pytest.raises(ValueError, match="colors must lie in 1..r"):
+            Coloring(2, 2, colors)
 
 
 def test_edge_refusal_is_one_rule(monkeypatch):
