@@ -24,11 +24,14 @@ A backend supplies the check behind a placement:
 * dp: rejects a color the moment its class holds a solution, decided by
   power-sum masks grown with the class, one per count of filled slots of
   each coefficient group (_dp_sides).  It also forward-checks: after v
-  joins class c, c is struck from each later vertex that would close a
-  solution with itself in one slot of a side's first group and the rest
-  of the class, and a wiped-out domain rejects the placement.  Struck
-  colors are not offered, so they are not nodes; `propagations` counts
-  them.  A distinct: equation takes one dp_feasible call per placement
+  joins class c, c is struck from each uncolored vertex above the
+  decision that would close a solution with itself in one slot of a
+  side's first group and the rest of the class, and a wiped-out domain
+  rejects the placement.  As on edge, a vertex left with one color is
+  colored with it at once, and its class grown and struck from in turn,
+  until nothing is forced.  Struck colors are not offered and forced
+  colorings are not nodes; `propagations` counts struck colors.  A
+  distinct: equation takes one dp_feasible call per placement
   instead, on the edges closing there, and reports 0 propagations.
 
 The backend rule counts solution representatives (_iter_reps), not
@@ -246,10 +249,10 @@ def _backtrack(order, color, r, candidates, place, undo, stats, deadline) -> str
 
     candidates(v, limit) gives the colors to try at v, none above limit.
     place(v, c) colors v and whatever that forces and returns an undo
-    token, (the vertices it colored, its log), or None after undoing a
-    rejected placement itself; undo(token) reverses a placement.  color
-    is the backend's vertex -> color map, 0 while uncolored; on COLORABLE
-    it holds the coloring."""
+    token, (every vertex it colored, v first, and its log), or None after
+    undoing a rejected placement itself; undo(token) reverses a
+    placement.  color is the backend's vertex -> color map, 0 while
+    uncolored; on COLORABLE it holds the coloring."""
     # one frame per decision: (position in order, candidates, next index,
     # undo token, max_used before it)
     stack: list[tuple] = []
@@ -410,26 +413,30 @@ def _dp_checks(eq, n, r, color, stats):
     # as domains are met (a full table would have 2**r rows)
     viable: list[dict[int, list[int]]] = [{} for _ in range(r + 1)]
 
-    def strike(v, c, struck):
-        """Strike c from each later vertex that would close a solution using
-        its own value once and the rest of class c, v now included.
+    def strike(lo, c, struck, forced):
+        """Strike c from each uncolored vertex above lo that would close a
+        solution using its own value once and the rest of class c.
 
-        Sound while v stays in c, since a class only grows until backtrack.
-        Lists each vertex struck in struck; False if a domain is wiped out."""
+        Sound while the class keeps its members, since a class only grows
+        until backtrack; the vertices up to lo, the decision vertex, are
+        all colored.  Logs each strike in struck and appends to forced every
+        vertex left with one color; False if a domain is wiped out."""
         la, ra = stacks[c][-1]
         a, a1 = la[-1], la[-1 - sl] if sl else 0
         b, b1 = ra[-1], ra[-1 - sr] if sr else 0
         bit = 1 << (c - 1)
-        for w in range(v + 1, n + 1):
+        for w in range(lo + 1, n + 1):
             dm = domain[w]
             # w once on the left: (a1 << wl[w]) & b; on the right:
             # a & (b1 << wr[w]); shifted right instead, for smaller ints
-            if dm & bit and ((b >> wl[w]) & a1 or (a >> wr[w]) & b1):
-                struck.append(w)
+            if dm & bit and not color[w] and ((b >> wl[w]) & a1 or (a >> wr[w]) & b1):
+                struck.append((w, bit))
                 domain[w] = dm = dm ^ bit
                 stats.propagations += 1
                 if not dm:
                     return False
+                if not dm & (dm - 1):
+                    forced.append(w)
         return True
 
     def candidates(v, limit):
@@ -441,27 +448,35 @@ def _dp_checks(eq, n, r, color, stats):
         return cands
 
     def place(v, c):
-        """Grow class c by v and push its masks, then strike.  Rejected if
-        the class now holds a solution (one with v: it held none before)."""
-        la, ra = stacks[c][-1]
-        nl, nr = _grow(la, lgroups, v, capmask), _grow(ra, rgroups, v, capmask)
-        stacks[c].append((nl, nr))
-        struck: list[int] = []
-        if nl[-1] & nr[-1] or not strike(v, c, struck):
-            unplace(c, struck)
-            return None
-        color[v] = c
-        return (v,), struck
+        """Grow class c by v, push its masks and strike from it; then the
+        same for each vertex left with one color, with that color, until
+        nothing is forced.  Rejected if a class now holds a solution (one
+        with the vertex just added: it held none before) or a domain is
+        wiped out."""
+        placed: list[int] = [v]
+        struck: list[tuple[int, int]] = []
+        i = 0
+        while i < len(placed):
+            u = placed[i]
+            if i:
+                c = domain[u].bit_length()
+            i += 1
+            la, ra = stacks[c][-1]
+            nl, nr = _grow(la, lgroups, u, capmask), _grow(ra, rgroups, u, capmask)
+            stacks[c].append((nl, nr))
+            color[u] = c
+            if nl[-1] & nr[-1] or not strike(v, c, struck, placed):
+                del placed[i:]
+                undo((placed, struck))
+                return None
+        return placed, struck
 
     def undo(token):
-        (v,), struck = token
-        unplace(color[v], struck)
-        color[v] = 0
-
-    def unplace(c, struck):
-        stacks[c].pop()
-        bit = 1 << (c - 1)
-        for w in struck:
+        placed, struck = token
+        for u in reversed(placed):
+            stacks[color[u]].pop()
+            color[u] = 0
+        for w, bit in struck:
             domain[w] |= bit
 
     return candidates, place, undo

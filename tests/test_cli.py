@@ -73,7 +73,7 @@ def test_solutions_listing_json(capsys):
 
 @pytest.mark.parametrize("backend, nodes, propagations, max_depth", [
     ("edge", 1, 3, 1),
-    ("dp", 5, 3, 4),        # one coefficient group per side
+    ("dp", 1, 3, 1),        # one coefficient group per side
 ])
 def test_color_json(capsys, backend, nodes, propagations, max_depth):
     code, out, _ = run(capsys, "color", "x+y=z", "-n", "4", "-r", "2",

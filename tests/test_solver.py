@@ -93,6 +93,18 @@ def test_propagation_colors_forced_vertices():
     assert_valid(eq, out.coloring)
 
 
+def test_dp_colors_forced_vertices():
+    # dp colors a vertex the moment striking leaves it one color, as edge
+    # does: left for the ascending scan, this refutation took 29,527 nodes
+    eq = parse_equation("x1^2+x2^2+x3^2+x4^2+x5^2=y1^2+y2^2")
+    out = find_coloring(eq, 31, 3, SearchParams(backend="dp"))
+    assert out.verdict == UNCOLORABLE
+    assert out.stats.nodes <= 5000
+    out = find_coloring(eq, 30, 3, SearchParams(backend="dp"))
+    assert out.verdict == COLORABLE
+    assert_valid(eq, out.coloring)
+
+
 def test_dp_forward_checking_prunes():
     # striking a color from each later vertex that would close a solution
     # in that class: without it this refutation took 179,832 nodes
@@ -109,12 +121,12 @@ def test_dp_forward_checking_prunes():
      (COLORABLE, 510, 4145, 21), None),
     # dp, one coefficient group per side: forward checking
     ("dp", "x1^2+x2^2+x3^2+x4^2+x5^2=y1^2+y2^2", False, 31, 3,
-     (UNCOLORABLE, 29527, 52618, 25), None),
+     (UNCOLORABLE, 3614, 20964, 19), None),
     ("dp", "x0=y0+y1", False, 13, 3,
-     (COLORABLE, 80, 104, 13), (1, 2, 2, 1, 3, 3, 1, 3, 3, 1, 2, 2, 1)),
-    ("dp", "x0=y0+y1", False, 14, 3, (UNCOLORABLE, 197, 302, 11), None),
+     (COLORABLE, 20, 81, 6), (1, 2, 2, 1, 3, 3, 1, 3, 3, 1, 2, 2, 1)),
+    ("dp", "x0=y0+y1", False, 14, 3, (UNCOLORABLE, 53, 227, 8), None),
     # dp, two groups on one side: forward checking from the first group
-    ("dp", "x^2+y^2+2z^2=w^2", False, 30, 2, (COLORABLE, 43, 38, 30), None),
+    ("dp", "x^2+y^2+2z^2=w^2", False, 30, 2, (COLORABLE, 4, 27, 3), None),
     # distinct: on dp, a dp_feasible call per node
     ("dp", "x+y=z", True, 8, 2,
      (COLORABLE, 14, 0, 8), (1, 1, 2, 1, 2, 2, 2, 1)),
@@ -214,7 +226,7 @@ def clocked_stats(clock, expire_at):
 @pytest.mark.parametrize("backend, eq, n, interval", [
     ("edge", family_equation(3), 105, 1),
     ("dp", family_equation(3), 105, 1),                       # one group a side
-    ("dp", parse_equation("x^2+y^2+2z^2=w^2"), 60, 1),        # two groups a side
+    ("dp", parse_equation("x^2+2y^2+2z^2=w^2"), 60, 1),       # two groups a side
 ])
 def test_search_loops_stop_within_check_interval(monkeypatch, backend, eq, n, interval):
     expire_at = 5 * interval + 37       # past several checks, not on one
@@ -637,11 +649,12 @@ def test_bounds_start_at_first_solution_r1():
     assert [(b.n, b.verdict, b.warm) for b in out.bounds] == [(2, UNCOLORABLE, False)]
 
 
-def test_symmetry_breaking_soundness():
+@pytest.mark.parametrize("backend", ["edge", "dp"])
+def test_symmetry_breaking_soundness(backend):
     # verdicts must agree with the unrestricted oracle on both sides of
-    # the colorable boundary
+    # the colorable boundary; on dp, forced colors raise the limit too
     fam = family_equation(2)
     for n in range(1, 15):
         for r in (2, 3):
-            got = find_coloring(fam, n, r)
+            got = find_coloring(fam, n, r, SearchParams(backend=backend))
             assert (got.verdict == COLORABLE) == oracle_colorable(fam, n, r), (n, r)
