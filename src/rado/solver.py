@@ -1,11 +1,11 @@
 """Coloring search and the incremental Rado-number driver.
 
 One backtracking core, _backtrack, decides colorability of [1, n].  It
-scans the vertices in ascending order, skips those already colored, and
-at each other vertex tries the colors its backend offers; a color may
-first appear only after the one below it has, so a decision may use one
-color more than any colored vertex.  A node is a color tried, and the
-clock is read at every node.  Chronological backtracking; no learning.
+decides at the uncolored vertex its backend picks and tries the colors
+the backend offers there; a color may first appear only after the one
+below it has, so a decision may use one color more than any colored
+vertex.  A node is a color tried, and the clock is read at every node.
+Chronological backtracking; no learning.
 
 A backend supplies the check behind a placement:
 
@@ -19,20 +19,23 @@ A backend supplies the check behind a placement:
   the number of incident edges it would leave one monochromatic step
   from completion; sparse instances like Pythagorean triples are
   intractable under naive first-fit but close in a few thousand nodes
-  under this ordering.  `propagations` counts colors removed from a
-  domain.
-* dp: rejects a color the moment its class holds a solution, decided by
-  power-sum masks grown with the class, one per count of filled slots of
-  each coefficient group (_dp_sides).  It also forward-checks: after v
-  joins class c, c is struck from each uncolored vertex above the
-  decision that would close a solution with itself in one slot of a
-  side's first group and the rest of the class, and a wiped-out domain
-  rejects the placement.  As on edge, a vertex left with one color is
-  colored with it at once, and its class grown and struck from in turn,
-  until nothing is forced.  Struck colors are not offered and forced
-  colorings are not nodes; `propagations` counts struck colors.  A
-  distinct: equation takes one dp_feasible call per placement
-  instead, on the edges closing there, and reports 0 propagations.
+  under this ordering.  Decisions are fail-first: at the vertex on the
+  most near-threat edges (two uncolored vertices, the colored ones of one
+  color), ties to the lowest.  `propagations` counts colors removed from
+  a domain.
+* dp: decides at the lowest uncolored vertex.  It rejects a color the
+  moment its class holds a solution, decided by power-sum masks grown
+  with the class, one per count of filled slots of each coefficient group
+  (_dp_sides).  It also forward-checks: after v joins class c, c is struck
+  from each uncolored vertex above the decision that would close a
+  solution with itself in one slot of a side's first group and the rest
+  of the class, and a wiped-out domain rejects the placement.  As on
+  edge, a vertex left with one color is colored with it at once, and its
+  class grown and struck from in turn, until nothing is forced.  Struck
+  colors are not offered and forced colorings are not nodes;
+  `propagations` counts struck colors.  A distinct: equation takes one
+  dp_feasible call per placement instead, on the edges closing there,
+  and reports 0 propagations.
 
 The backend rule counts solution representatives (_iter_reps), not
 edges: auto takes dp past AUTO_EDGE_CAP representatives of [1, n], and a
@@ -225,16 +228,18 @@ def _search(eq, n, r, edges, deadline) -> SearchOutcome:
     color = [0] * (n + 1)
     if edges is not None:
         backend = "edge"
-        order, checks = _edge_checks(n, r, edges, color, stats)
+        pick, checks = _edge_checks(n, r, edges, color, stats)
     else:
         backend = "dp"
-        order = range(1, n + 1)
         if eq.distinct_required:
             checks = _dp_distinct_checks(eq, r, color, deadline)
         else:
             checks = _dp_checks(eq, n, r, color, stats)
+
+        def pick():       # the lowest uncolored vertex (color[0] stays 0)
+            return color.index(0, 1) if color.count(0) > 1 else 0
     try:
-        verdict = _backtrack(order, color, r, *checks, stats, deadline)
+        verdict = _backtrack(pick, color, r, *checks, stats, deadline)
     except EnumerationTimeout:            # in a distinct: dp_feasible scan
         verdict = BUDGET_EXHAUSTED
     coloring = None
@@ -244,33 +249,30 @@ def _search(eq, n, r, edges, deadline) -> SearchOutcome:
     return SearchOutcome(verdict, coloring, stats, backend)
 
 
-def _backtrack(order, color, r, candidates, place, undo, stats, deadline) -> str:
+def _backtrack(pick, color, r, candidates, place, undo, stats, deadline) -> str:
     """The one search loop (see the module docstring); returns the verdict.
 
-    candidates(v, limit) gives the colors to try at v, none above limit.
-    place(v, c) colors v and whatever that forces and returns an undo
-    token, (every vertex it colored, v first, and its log), or None after
-    undoing a rejected placement itself; undo(token) reverses a
+    pick() gives the next decision vertex, or 0 once every vertex is
+    colored.  candidates(v, limit) gives the colors to try at v, none above
+    limit.  place(v, c) colors v and whatever that forces and returns an
+    undo token, (every vertex it colored, v first, and its log), or None
+    after undoing a rejected placement itself; undo(token) reverses a
     placement.  color is the backend's vertex -> color map, 0 while
     uncolored; on COLORABLE it holds the coloring."""
-    # one frame per decision: (position in order, candidates, next index,
-    # undo token, max_used before it)
+    # one frame per decision: (vertex, candidates, next index, undo token,
+    # max_used before it)
     stack: list[tuple] = []
     clock = time.monotonic
-    end = len(order)
-    pos = 0
     max_used = 0
     cand = None
     ci = 0
     while True:
         if cand is None:
-            while pos < end and color[order[pos]]:
-                pos += 1                  # colored by propagation
-            if pos == end:
+            v = pick()
+            if not v:
                 return COLORABLE
-            cand = candidates(order[pos], min(r, max_used + 1))
+            cand = candidates(v, min(r, max_used + 1))
             ci = 0
-        v = order[pos]
         while ci < len(cand):
             c = cand[ci]
             ci += 1
@@ -279,7 +281,7 @@ def _backtrack(order, color, r, candidates, place, undo, stats, deadline) -> str
                 return BUDGET_EXHAUSTED
             token = place(v, c)
             if token is not None:
-                stack.append((pos, cand, ci, token, max_used))
+                stack.append((v, cand, ci, token, max_used))
                 if len(stack) > stats.max_depth:
                     stats.max_depth = len(stack)
                 for w in token[0]:
@@ -290,13 +292,12 @@ def _backtrack(order, color, r, candidates, place, undo, stats, deadline) -> str
         else:
             if not stack:
                 return UNCOLORABLE
-            pos, cand, ci, token, max_used = stack.pop()
+            v, cand, ci, token, max_used = stack.pop()
             undo(token)
 
 
 def _edge_checks(n, r, edges, color, stats):
-    """The edge backend: its search order, the vertices on some edge, and
-    its candidates, place and undo."""
+    """The edge backend: its fail-first pick, candidates, place and undo."""
     esize = [len(e) for e in edges]
     incident: list[list[int]] = [[] for _ in range(n + 1)]
     for ei, e in enumerate(edges):
@@ -305,41 +306,56 @@ def _edge_checks(n, r, edges, color, stats):
     domain = [(1 << r) - 1] * (n + 1)
     counts = [[0] * (r + 1) for _ in edges]
     unc = esize[:]
+    # near[v]: v's near-threat edges, ~near[v] < 0 while v is colored, -1 if
+    # v is on no edge.  near_edge[ei]: ei was near-threat when unc fell to 2.
+    near = [0 if vs else -1 for vs in incident]
+    near_edge = [k == 2 for k in esize]
+    for v in itertools.chain.from_iterable(itertools.compress(edges, near_edge)):
+        near[v] += 1
 
     def assign(v, c, restore, forced):
-        """Color v with c and update its edge counters.
+        """Color v with c and update its edge and near-threat counters.
 
         Logs each domain change in restore and appends to forced every
         vertex left with exactly one viable color.  Returns False if an
         edge became monochromatic or a domain empty; the counters are
         updated in full either way, so undo reverses them."""
         color[v] = c
+        near[v] = ~near[v]
         bit = 1 << (c - 1)
         ok = True
         for ei in incident[v]:
             cnt = counts[ei]
             cnt[c] += 1
-            unc[ei] -= 1
-            if not ok:
+            u = unc[ei] = unc[ei] - 1
+            if u > 2:
                 continue
-            u = unc[ei]
-            if cnt[c] + u == esize[ei]:
-                if u == 0:
-                    ok = False            # edge fully monochromatic
-                elif u == 1:
+            if u == 2:
+                near_edge[ei] = f = cnt[c] == esize[ei] - 2
+                if f:
                     for w in edges[ei]:
-                        if color[w] == 0:
-                            dm = domain[w]
-                            if dm & bit:
-                                restore.append((w, dm))
-                                dm &= ~bit
-                                domain[w] = dm
-                                stats.propagations += 1
-                                if dm == 0:
-                                    ok = False
-                                elif not dm & (dm - 1):
-                                    forced.append(w)
-                            break
+                        if not color[w]:
+                            near[w] += 1
+            elif u == 1 and near_edge[ei]:
+                # a unit edge whose colored vertices all have c was
+                # near-threat before v took c
+                for w in edges[ei]:
+                    if not color[w]:
+                        break
+                near[w] -= 1
+                if ok and cnt[c] == esize[ei] - 1:
+                    dm = domain[w]
+                    if dm & bit:
+                        restore.append((w, dm))
+                        dm &= ~bit
+                        domain[w] = dm
+                        stats.propagations += 1
+                        if dm == 0:
+                            ok = False
+                        elif not dm & (dm - 1):
+                            forced.append(w)
+            elif u == 0 and cnt[c] == esize[ei]:
+                ok = False                # edge fully monochromatic
         return ok
 
     def place(v, c):
@@ -366,10 +382,20 @@ def _edge_checks(n, r, edges, color, stats):
             c = color[v]
             for ei in incident[v]:
                 counts[ei][c] -= 1
-                unc[ei] += 1
+                u = unc[ei] = unc[ei] + 1
+                if 1 < u < 4 and near_edge[ei]:    # undo 2->1 or 3->2
+                    d = 1 if u == 2 else -1        # v is not yet uncolored
+                    for w in edges[ei]:
+                        if not color[w]:
+                            near[w] += d
             color[v] = 0
+            near[v] = ~near[v]
         for w, dm in reversed(restore):
             domain[w] = dm
+
+    def pick():
+        best = max(near)
+        return near.index(best) if best >= 0 else 0
 
     def candidates(v, limit):
         """Viable colors, fewest created threats first (ties: lower color).
@@ -392,8 +418,7 @@ def _edge_checks(n, r, edges, color, stats):
         scored.sort()
         return [c for _, c in scored]
 
-    order = [v for v in range(1, n + 1) if incident[v]]
-    return order, (candidates, place, undo)
+    return pick, (candidates, place, undo)
 
 
 def _dp_checks(eq, n, r, color, stats):

@@ -71,11 +71,13 @@ def test_solutions_listing_json(capsys):
     }
 
 
-@pytest.mark.parametrize("backend, nodes, propagations, max_depth", [
-    ("edge", 1, 3, 1),
-    ("dp", 1, 3, 1),        # one coefficient group per side
+@pytest.mark.parametrize("backend, coloring, nodes, propagations, max_depth", [
+    # edge decides first at 2, on both 2-vertex edges {1, 2} and {2, 4}
+    pytest.param("edge", [2, 1, 1, 2], 1, 3, 1, id="edge-1-3-1"),
+    # one coefficient group per side
+    pytest.param("dp", [1, 2, 2, 1], 1, 3, 1, id="dp-1-3-1"),
 ])
-def test_color_json(capsys, backend, nodes, propagations, max_depth):
+def test_color_json(capsys, backend, coloring, nodes, propagations, max_depth):
     code, out, _ = run(capsys, "color", "x+y=z", "-n", "4", "-r", "2",
                        "--backend", backend, "--json")
     assert code == 0
@@ -84,7 +86,7 @@ def test_color_json(capsys, backend, nodes, propagations, max_depth):
                          "backend", "nodes", "propagations", "max_depth"]
     assert doc == {
         "command": "color", "equation": "x+y=z", "n": 4, "r": 2,
-        "verdict": "colorable", "coloring": [1, 2, 2, 1], "backend": backend,
+        "verdict": "colorable", "coloring": coloring, "backend": backend,
         "nodes": nodes, "propagations": propagations, "max_depth": max_depth,
     }
 

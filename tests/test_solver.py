@@ -93,6 +93,80 @@ def test_propagation_colors_forced_vertices():
     assert_valid(eq, out.coloring)
 
 
+def test_edge_refutes_theorem_1_fail_first():
+    # deciding at the vertex on the most near-threat edges: at the lowest
+    # uncolored vertex this refutation took 12,531 nodes
+    out = find_coloring(family_equation(3), 105, 2)
+    assert (out.backend, out.verdict) == ("edge", UNCOLORABLE)
+    assert out.stats.nodes <= 1000
+
+
+def test_edge_colors_pythagorean_2000_fail_first():
+    # at the lowest uncolored vertex this search ran out of a 10 s budget
+    # after about 90,000 nodes
+    text = "x^2+y^2=z^2"
+    out = find_coloring(parse_equation(text), 2000, 2, SearchParams(time_budget=10))
+    assert (out.backend, out.verdict) == ("edge", COLORABLE)
+    assert out.stats.nodes <= 2000
+    assert verify(Certificate.from_coloring(text, out.coloring)).status == VALID
+
+
+@st.composite
+def edge_walks(draw):
+    """Up to 8 vertices, up to 8 edges of 1-4 of them, 1-3 colors, and a
+    walk: None undoes the last placement, (i, j) places the i-th uncolored
+    vertex on an edge with its j-th candidate (both modulo their count)."""
+    n = draw(st.integers(1, 8))
+    edge = st.sets(st.integers(1, n), min_size=1, max_size=4).map(lambda e: tuple(sorted(e)))
+    edges = draw(st.lists(edge, min_size=1, max_size=8, unique=True))
+    r = draw(st.integers(1, 3))
+    steps = draw(st.lists(st.none() | st.tuples(st.integers(0, 7), st.integers(0, 2)),
+                          max_size=30))
+    return n, edges, r, steps
+
+
+def fresh_pick(n, edges, color):
+    """The uncolored vertex on the most near-threat edges, counted from
+    scratch, the lowest on ties; 0 once every vertex on an edge is colored."""
+    best, best_v = -1, 0
+    for v in range(1, n + 1):
+        if color[v] or not any(v in e for e in edges):
+            continue
+        near = 0
+        for e in edges:
+            uncolored = [w for w in e if not color[w]]
+            if v in uncolored and len(uncolored) == 2 and len({color[w] for w in e}) <= 2:
+                near += 1                 # colors: 0 and at most one more
+        if near > best:
+            best, best_v = near, v
+    return best_v
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(walk=edge_walks())
+def test_edge_pick_matches_a_fresh_count(walk):
+    # the near-threat counts move only in assign and undo: an undo that does
+    # not mirror assign exactly leaves a count off, and a later pick wrong
+    n, edges, r, steps = walk
+    color = [0] * (n + 1)
+    pick, (candidates, place, undo) = solver._edge_checks(
+        n, r, edges, color, solver.SearchStats())
+    tokens = []
+    assert pick() == fresh_pick(n, edges, color)
+    for step in steps:
+        free = [v for v in range(1, n + 1) if not color[v] and any(v in e for e in edges)]
+        if step is None:
+            if tokens:
+                undo(tokens.pop())
+        elif free:
+            v = free[step[0] % len(free)]
+            cand = candidates(v, r)
+            token = place(v, cand[step[1] % len(cand)])
+            if token is not None:
+                tokens.append(token)
+        assert pick() == fresh_pick(n, edges, color)
+
+
 def test_dp_colors_forced_vertices():
     # dp colors a vertex the moment striking leaves it one color, as edge
     # does: left for the ascending scan, this refutation took 29,527 nodes
@@ -116,9 +190,9 @@ def test_dp_forward_checking_prunes():
 
 
 @pytest.mark.parametrize("backend, text, distinct, n, r, trace, witness", [
-    # edge: propagation to a fixpoint
+    # edge: fail-first decisions, propagation to a fixpoint
     ("edge", "x^2+y^2+z^2=w^2", False, 73, 2,
-     (COLORABLE, 510, 4145, 21), None),
+     (COLORABLE, 47, 173, 38), None),
     # dp, one coefficient group per side: forward checking
     ("dp", "x1^2+x2^2+x3^2+x4^2+x5^2=y1^2+y2^2", False, 31, 3,
      (UNCOLORABLE, 3614, 20964, 19), None),
@@ -173,12 +247,12 @@ class FakeClock:
 
 
 def test_rado_budget_gives_lower_bound(monkeypatch):
-    # the whole run reads the clock about 30,000 times; at 1e-4 s a read
-    # the 0.5 s budget runs out after 5,000, whatever the host's speed
+    # the whole run reads the clock about 1,400 times; at 1e-4 s a read
+    # the 0.05 s budget runs out after 500, whatever the host's speed
     clock = FakeClock(step=1e-4)
     monkeypatch.setattr(solver, "time", clock)
     monkeypatch.setattr(solutions, "time", clock)
-    out = compute_rado(family_equation(3), 2, SearchParams(time_budget=0.5))
+    out = compute_rado(family_equation(3), 2, SearchParams(time_budget=0.05))
     assert out.kind == LOWER_BOUND
     assert out.value < 105
     assert out.witness.n == out.value
