@@ -7,35 +7,34 @@ below it has, so a decision may use one color more than any colored
 vertex.  A node is a color tried, and the clock is read at every node.
 Chronological backtracking; no learning.
 
-A backend supplies the check behind a placement:
+The core owns the coloring and one domain per vertex (viable colors,
+bit c-1 for color c).  _place colors the decision vertex, then each
+vertex left with one viable color, with it, until nothing is forced or a
+check fails; forced colorings are not nodes, and they count toward the
+first-appearance limit, which they can only raise.  It logs each domain
+change as (vertex, old domain), and `propagations` counts them; _undo
+reverses a placement.  A backend supplies only candidates(v, limit),
+assign (check a new color, narrow domains, report forced vertices) and
+unassign (reverse assign's own counters).
 
-* edge: per-edge counters with unit propagation to a fixpoint.  An edge
-  with one uncolored vertex whose colored vertices share color c removes
-  c from that vertex's domain; a vertex left with one viable color is
-  colored with it at once and its edges are processed in turn, until
-  nothing is forced.  Forced colorings are not nodes, and they count
-  toward the first-appearance limit, which they can only raise.  Viable
-  colors are tried lowest-threat first, where a color's threat count is
-  the number of incident edges it would leave one monochromatic step
-  from completion; sparse instances like Pythagorean triples are
+* edge: per-edge counters.  An edge with one uncolored vertex whose
+  colored vertices share color c removes c from that vertex's domain.
+  Viable colors are tried lowest-threat first, where a color's threat
+  count is the number of incident edges it would leave one monochromatic
+  step from completion; sparse instances like Pythagorean triples are
   intractable under naive first-fit but close in a few thousand nodes
   under this ordering.  Decisions are fail-first: at the vertex on the
   most near-threat edges (two uncolored vertices, the colored ones of one
-  color), ties to the lowest.  `propagations` counts colors removed from
-  a domain.
+  color), ties to the lowest.
 * dp: decides at the lowest uncolored vertex.  It rejects a color the
   moment its class holds a solution, decided by power-sum masks grown
   with the class, one per count of filled slots of each coefficient group
-  (_dp_sides).  It also forward-checks: after v joins class c, c is struck
-  from each uncolored vertex above the decision that would close a
+  (_dp_sides).  It also forward-checks: after a vertex joins class c, c is
+  struck from each uncolored vertex above the decision that would close a
   solution with itself in one slot of a side's first group and the rest
-  of the class, and a wiped-out domain rejects the placement.  As on
-  edge, a vertex left with one color is colored with it at once, and its
-  class grown and struck from in turn, until nothing is forced.  Struck
-  colors are not offered and forced colorings are not nodes;
-  `propagations` counts struck colors.  A distinct: equation takes one
-  dp_feasible call per placement instead, on the edges closing there,
-  and reports 0 propagations.
+  of the class, and a wiped-out domain rejects the placement.  A distinct:
+  equation takes one dp_feasible call per vertex placed instead, on the
+  edges closing there; it narrows no domain and forces nothing.
 
 The backend rule counts solution representatives (_iter_reps), not
 edges: auto takes dp past AUTO_EDGE_CAP representatives of [1, n], and a
@@ -226,20 +225,21 @@ def _search(eq, n, r, edges, deadline) -> SearchOutcome:
     edges is None."""
     stats = SearchStats()
     color = [0] * (n + 1)
+    domain = [(1 << r) - 1] * (n + 1)     # viable colors, bit c-1
     if edges is not None:
         backend = "edge"
-        pick, checks = _edge_checks(n, r, edges, color, stats)
+        pick, checks = _edge_checks(n, r, edges, color, domain)
     else:
         backend = "dp"
         if eq.distinct_required:
-            checks = _dp_distinct_checks(eq, r, color, deadline)
+            checks = _dp_distinct_checks(eq, r, color, domain, deadline)
         else:
-            checks = _dp_checks(eq, n, r, color, stats)
+            checks = _dp_checks(eq, n, r, color, domain)
 
         def pick():       # the lowest uncolored vertex (color[0] stays 0)
             return color.index(0, 1) if color.count(0) > 1 else 0
     try:
-        verdict = _backtrack(pick, color, r, *checks, stats, deadline)
+        verdict = _backtrack(pick, color, domain, r, *checks, stats, deadline)
     except EnumerationTimeout:            # in a distinct: dp_feasible scan
         verdict = BUDGET_EXHAUSTED
     coloring = None
@@ -249,16 +249,16 @@ def _search(eq, n, r, edges, deadline) -> SearchOutcome:
     return SearchOutcome(verdict, coloring, stats, backend)
 
 
-def _backtrack(pick, color, r, candidates, place, undo, stats, deadline) -> str:
+def _backtrack(pick, color, domain, r, candidates, assign, unassign, stats,
+               deadline) -> str:
     """The one search loop (see the module docstring); returns the verdict.
 
     pick() gives the next decision vertex, or 0 once every vertex is
     colored.  candidates(v, limit) gives the colors to try at v, none above
-    limit.  place(v, c) colors v and whatever that forces and returns an
-    undo token, (every vertex it colored, v first, and its log), or None
-    after undoing a rejected placement itself; undo(token) reverses a
-    placement.  color is the backend's vertex -> color map, 0 while
-    uncolored; on COLORABLE it holds the coloring."""
+    limit.  Each color tried is one _place with the backend's assign and
+    unassign, and its log of domain changes counts toward propagations,
+    accepted or not.  color (vertex -> color, 0 while uncolored) and domain
+    are shared with the backend; on COLORABLE color holds the coloring."""
     # one frame per decision: (vertex, candidates, next index, undo token,
     # max_used before it)
     stack: list[tuple] = []
@@ -279,8 +279,9 @@ def _backtrack(pick, color, r, candidates, place, undo, stats, deadline) -> str:
             stats.nodes += 1
             if clock() > deadline:
                 return BUDGET_EXHAUSTED
-            token = place(v, c)
-            if token is not None:
+            ok, token = _place(v, c, color, domain, assign, unassign)
+            stats.propagations += len(token[1])
+            if ok:
                 stack.append((v, cand, ci, token, max_used))
                 if len(stack) > stats.max_depth:
                     stats.max_depth = len(stack)
@@ -293,17 +294,70 @@ def _backtrack(pick, color, r, candidates, place, undo, stats, deadline) -> str:
             if not stack:
                 return UNCOLORABLE
             v, cand, ci, token, max_used = stack.pop()
-            undo(token)
+            _undo(token, color, domain, unassign)
 
 
-def _edge_checks(n, r, edges, color, stats):
-    """The edge backend: its fail-first pick, candidates, place and undo."""
+def _place(v, c, color, domain, assign, unassign):
+    """Color v with c, then each vertex assign leaves with one viable
+    color, with that color, until nothing is forced or assign rejects.
+
+    assign(u, c, log, forced) checks u's new color (already in color[u]),
+    logs each domain it narrows in log as (vertex, old domain), and appends
+    each vertex it leaves with one color to forced: the vertices placed so
+    far, v first.  Returns (accepted, (placed, log)); a rejected placement
+    is undone first."""
+    placed = [v]
+    log: list[tuple[int, int]] = []
+    color[v] = c
+    ok = assign(v, c, log, placed)
+    i = 1
+    while ok and i < len(placed):
+        u = placed[i]
+        i += 1
+        c = color[u] = domain[u].bit_length()
+        ok = assign(u, c, log, placed)
+    del placed[i:]
+    if not ok:
+        _undo((placed, log), color, domain, unassign)
+    return ok, (placed, log)
+
+
+def _undo(token, color, domain, unassign):
+    """Reverse a placement: unassign each vertex while it still has its
+    color, then uncolor it, last first; then restore the log, last first."""
+    placed, log = token
+    for u in reversed(placed):
+        unassign(u)
+        color[u] = 0
+    for w, dm in reversed(log):
+        domain[w] = dm
+
+
+def _viable(domain, r):
+    """candidates(v, limit): the colors 1..limit left in v's domain, in
+    ascending order.  One list per (limit, domain), made when first met: a
+    full table would have 2**r rows."""
+    viable: list[dict[int, list[int]]] = [{} for _ in range(r + 1)]
+
+    def candidates(v, limit):
+        dm = domain[v]
+        cands = viable[limit].get(dm)
+        if cands is None:
+            cands = [c for c in range(1, limit + 1) if dm >> (c - 1) & 1]
+            viable[limit][dm] = cands
+        return cands
+
+    return candidates
+
+
+def _edge_checks(n, r, edges, color, domain):
+    """The edge backend: its fail-first pick, and candidates, assign and
+    unassign over per-edge counters."""
     esize = [len(e) for e in edges]
     incident: list[list[int]] = [[] for _ in range(n + 1)]
     for ei, e in enumerate(edges):
         for v in e:
             incident[v].append(ei)
-    domain = [(1 << r) - 1] * (n + 1)
     counts = [[0] * (r + 1) for _ in edges]
     unc = esize[:]
     # near[v]: v's near-threat edges, ~near[v] < 0 while v is colored, -1 if
@@ -312,15 +366,15 @@ def _edge_checks(n, r, edges, color, stats):
     near_edge = [k == 2 for k in esize]
     for v in itertools.chain.from_iterable(itertools.compress(edges, near_edge)):
         near[v] += 1
+    viable = _viable(domain, r)
 
-    def assign(v, c, restore, forced):
-        """Color v with c and update its edge and near-threat counters.
+    def assign(v, c, log, forced):
+        """Update v's edge and near-threat counters for its color c.
 
-        Logs each domain change in restore and appends to forced every
-        vertex left with exactly one viable color.  Returns False if an
-        edge became monochromatic or a domain empty; the counters are
-        updated in full either way, so undo reverses them."""
-        color[v] = c
+        An edge left with one uncolored vertex w, its colored ones all c,
+        removes c from w's domain.  Returns False if an edge became
+        monochromatic or a domain empty; the counters are updated in full
+        either way, so unassign reverses them."""
         near[v] = ~near[v]
         bit = 1 << (c - 1)
         ok = True
@@ -346,10 +400,9 @@ def _edge_checks(n, r, edges, color, stats):
                 if ok and cnt[c] == esize[ei] - 1:
                     dm = domain[w]
                     if dm & bit:
-                        restore.append((w, dm))
+                        log.append((w, dm))
                         dm &= ~bit
                         domain[w] = dm
-                        stats.propagations += 1
                         if dm == 0:
                             ok = False
                         elif not dm & (dm - 1):
@@ -358,40 +411,17 @@ def _edge_checks(n, r, edges, color, stats):
                 ok = False                # edge fully monochromatic
         return ok
 
-    def place(v, c):
-        """Color v with c, then each vertex left with one viable color, in
-        the order they are forced, until nothing is forced or a conflict
-        arises."""
-        placed = [v]
-        restore: list[tuple[int, int]] = []
-        ok = assign(v, c, restore, placed)
-        i = 1
-        while ok and i < len(placed):
-            w = placed[i]
-            i += 1
-            ok = assign(w, domain[w].bit_length(), restore, placed)
-        del placed[i:]
-        if ok:
-            return placed, restore
-        undo((placed, restore))
-        return None
-
-    def undo(token):
-        placed, restore = token
-        for v in reversed(placed):
-            c = color[v]
-            for ei in incident[v]:
-                counts[ei][c] -= 1
-                u = unc[ei] = unc[ei] + 1
-                if 1 < u < 4 and near_edge[ei]:    # undo 2->1 or 3->2
-                    d = 1 if u == 2 else -1        # v is not yet uncolored
-                    for w in edges[ei]:
-                        if not color[w]:
-                            near[w] += d
-            color[v] = 0
-            near[v] = ~near[v]
-        for w, dm in reversed(restore):
-            domain[w] = dm
+    def unassign(v):
+        c = color[v]
+        for ei in incident[v]:
+            counts[ei][c] -= 1
+            u = unc[ei] = unc[ei] + 1
+            if 1 < u < 4 and near_edge[ei]:    # undo 2->1 or 3->2
+                d = 1 if u == 2 else -1        # v is not yet uncolored
+                for w in edges[ei]:
+                    if not color[w]:
+                        near[w] += d
+        near[v] = ~near[v]
 
     def pick():
         best = max(near)
@@ -404,8 +434,7 @@ def _edge_checks(n, r, edges, color, stats):
         vertices and all colored ones already c into a unit edge; such
         near-completions are what force later vertices, so they are
         deferred."""
-        dm = domain[v]
-        cands = [c for c in range(1, limit + 1) if dm & (1 << (c - 1))]
+        cands = viable(v, limit)
         if len(cands) <= 1:
             return cands
         scored = []
@@ -418,13 +447,13 @@ def _edge_checks(n, r, edges, color, stats):
         scored.sort()
         return [c for _, c in scored]
 
-    return pick, (candidates, place, undo)
+    return pick, (candidates, assign, unassign)
 
 
-def _dp_checks(eq, n, r, color, stats):
-    """The dp backend's candidates, place and undo for an equation without
-    the distinct: marker: the power-sum masks of _dp_sides per class,
-    grown as the class grows, and forward checking."""
+def _dp_checks(eq, n, r, color, domain):
+    """The dp backend's candidates, assign and unassign for an equation
+    without the distinct: marker: the power-sum masks of _dp_sides per
+    class, grown as the class grows, and forward checking."""
     (lm, lgroups), (rm, rgroups), capmask = _dp_sides(eq, n)
     # forward checking puts a later vertex in one slot of each side's
     # first constrained group; a side without one strikes nothing
@@ -433,103 +462,54 @@ def _dp_checks(eq, n, r, color, stats):
 
     # per color: stack of (lhs masks, rhs masks)
     stacks: list[list] = [[(lm, rm)] for _ in range(r + 1)]
-    domain = [(1 << r) - 1] * (n + 1)      # colors not yet struck, bit c-1
-    # viable[limit][dm]: the colors 1..limit left in domain dm, filled in
-    # as domains are met (a full table would have 2**r rows)
-    viable: list[dict[int, list[int]]] = [{} for _ in range(r + 1)]
 
-    def strike(lo, c, struck, forced):
-        """Strike c from each uncolored vertex above lo that would close a
-        solution using its own value once and the rest of class c.
-
-        Sound while the class keeps its members, since a class only grows
-        until backtrack; the vertices up to lo, the decision vertex, are
-        all colored.  Logs each strike in struck and appends to forced every
-        vertex left with one color; False if a domain is wiped out."""
+    def assign(u, c, log, forced):
+        """Grow class c by u and push its masks; reject if the class now
+        holds a solution (one with u: it held none before).  Then strike c
+        from each uncolored vertex above the decision vertex forced[0] that
+        would close a solution using its own value once and the rest of
+        class c (those up to it are colored), sound while a class only grows
+        until backtrack; reject if a domain is wiped out."""
         la, ra = stacks[c][-1]
+        la, ra = _grow(la, lgroups, u, capmask), _grow(ra, rgroups, u, capmask)
+        stacks[c].append((la, ra))
         a, a1 = la[-1], la[-1 - sl] if sl else 0
         b, b1 = ra[-1], ra[-1 - sr] if sr else 0
+        if a & b:
+            return False
         bit = 1 << (c - 1)
-        for w in range(lo + 1, n + 1):
+        for w in range(forced[0] + 1, n + 1):
             dm = domain[w]
             # w once on the left: (a1 << wl[w]) & b; on the right:
             # a & (b1 << wr[w]); shifted right instead, for smaller ints
             if dm & bit and not color[w] and ((b >> wl[w]) & a1 or (a >> wr[w]) & b1):
-                struck.append((w, bit))
+                log.append((w, dm))
                 domain[w] = dm = dm ^ bit
-                stats.propagations += 1
                 if not dm:
                     return False
                 if not dm & (dm - 1):
                     forced.append(w)
         return True
 
-    def candidates(v, limit):
-        dm = domain[v]
-        cands = viable[limit].get(dm)
-        if cands is None:
-            cands = [c for c in range(1, limit + 1) if dm >> (c - 1) & 1]
-            viable[limit][dm] = cands
-        return cands
+    def unassign(u):
+        stacks[color[u]].pop()
 
-    def place(v, c):
-        """Grow class c by v, push its masks and strike from it; then the
-        same for each vertex left with one color, with that color, until
-        nothing is forced.  Rejected if a class now holds a solution (one
-        with the vertex just added: it held none before) or a domain is
-        wiped out."""
-        placed: list[int] = [v]
-        struck: list[tuple[int, int]] = []
-        i = 0
-        while i < len(placed):
-            u = placed[i]
-            if i:
-                c = domain[u].bit_length()
-            i += 1
-            la, ra = stacks[c][-1]
-            nl, nr = _grow(la, lgroups, u, capmask), _grow(ra, rgroups, u, capmask)
-            stacks[c].append((nl, nr))
-            color[u] = c
-            if nl[-1] & nr[-1] or not strike(v, c, struck, placed):
-                del placed[i:]
-                undo((placed, struck))
-                return None
-        return placed, struck
-
-    def undo(token):
-        placed, struck = token
-        for u in reversed(placed):
-            stacks[color[u]].pop()
-            color[u] = 0
-        for w, bit in struck:
-            domain[w] |= bit
-
-    return candidates, place, undo
+    return _viable(domain, r), assign, unassign
 
 
-def _dp_distinct_checks(eq, r, color, deadline):
+def _dp_distinct_checks(eq, r, color, domain, deadline):
     """The dp path for a distinct: equation: a dp_feasible call per
     placement, which reads the edges closing at the new vertex."""
     classes: list[list[int]] = [[] for _ in range(r + 1)]
 
-    def candidates(v, limit):
-        return range(1, limit + 1)
-
-    def place(v, c):
-        color[v] = c
+    def assign(v, c, log, forced):
         classes[c].append(v)
-        token = (v,), None
-        if dp_feasible(eq, classes[c], v, deadline):
-            undo(token)
-            return None
-        return token
+        return not dp_feasible(eq, classes[c], v, deadline)
 
-    def undo(token):
-        (v,), _ = token
+    def unassign(v):
         classes[color[v]].pop()
-        color[v] = 0
 
-    return candidates, place, undo
+    return _viable(domain, r), assign, unassign
 
 
 def compute_rado(

@@ -177,6 +177,12 @@ def test_import_direct_unconstrained_vertices_default_to_color_one():
     assert import_model([1, -2, -3, 4], inst).colors == (1, 2, 1)
 
 
+def test_import_rejects_unknown_encoding():
+    inst = CnfInstance("x+y=z", 2, 2, "unary", 2, [[1, 2]])
+    with pytest.raises(CnfError, match="unknown encoding 'unary'"):
+        import_model([1, -2], inst)
+
+
 @pytest.mark.parametrize("coloring", [
     Coloring(4, 3, (1, 3, 3, 1)),
     Coloring(6, 2, (1, 2, 2, 1, 1, 2)),

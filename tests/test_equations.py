@@ -66,6 +66,8 @@ def test_zero_coefficient():
         parse_equation("0x+y=z")
     with pytest.raises(EquationError, match="exceeds cap"):
         parse_equation("10000000x=y")
+    with pytest.raises(EquationError, match="coefficient must be >= 1"):
+        Term(0, "x")
 
 
 def test_duplicate_variable():

@@ -5,6 +5,7 @@ from math import comb, isqrt
 import pytest
 
 from rado import solutions, solver
+from rado.certificate import MALFORMED, Certificate, verify
 from rado.equations import parse_equation, family_equation
 from rado.solutions import (
     REACH_TABLE_CAP,
@@ -411,6 +412,21 @@ def test_solution_cap(monkeypatch):
     monkeypatch.setattr(solutions, "MAX_SOLUTIONS", 1000)
     with pytest.raises(SolutionCapError, match="exceeds 1000 solutions"):
         enumerate_solutions(family_equation(17), 23)
+
+
+def test_materialize_cap_refuses_mid_scan(monkeypatch):
+    # x+y+z=5w materializes the 5w side, whose largest total (50) is past
+    # the solution cap (30): its estimate is no exact count, so only the
+    # scan itself can find more than MATERIALIZE_CAP assignments
+    eq = parse_equation("x+y+z=5w")
+    monkeypatch.setattr(solutions, "MATERIALIZE_CAP", 5)
+    with pytest.raises(SolutionCapError, match="MATERIALIZE_CAP=5 "):
+        build_hyperedges(eq, 10)
+    verdict = verify(Certificate("x+y+z=5w", 10, 2, (1,) * 10))
+    assert verdict.status == MALFORMED
+    assert "MATERIALIZE_CAP=5 " in verdict.reason
+    monkeypatch.setattr(solutions, "MATERIALIZE_CAP", 6)
+    assert len(build_hyperedges(eq, 10).edges) == 44
 
 
 def test_overflow_guard():

@@ -145,26 +145,78 @@ def fresh_pick(n, edges, color):
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(walk=edge_walks())
 def test_edge_pick_matches_a_fresh_count(walk):
-    # the near-threat counts move only in assign and undo: an undo that does
-    # not mirror assign exactly leaves a count off, and a later pick wrong
+    # the near-threat counts move only in assign and unassign: an unassign
+    # that does not mirror assign exactly leaves a count off, and a later
+    # pick wrong
     n, edges, r, steps = walk
     color = [0] * (n + 1)
-    pick, (candidates, place, undo) = solver._edge_checks(
-        n, r, edges, color, solver.SearchStats())
+    domain = [(1 << r) - 1] * (n + 1)
+    pick, (candidates, assign, unassign) = solver._edge_checks(
+        n, r, edges, color, domain)
     tokens = []
     assert pick() == fresh_pick(n, edges, color)
     for step in steps:
         free = [v for v in range(1, n + 1) if not color[v] and any(v in e for e in edges)]
         if step is None:
             if tokens:
-                undo(tokens.pop())
+                solver._undo(tokens.pop(), color, domain, unassign)
         elif free:
             v = free[step[0] % len(free)]
             cand = candidates(v, r)
-            token = place(v, cand[step[1] % len(cand)])
-            if token is not None:
+            ok, token = solver._place(v, cand[step[1] % len(cand)], color, domain,
+                                      assign, unassign)
+            if ok:
                 tokens.append(token)
         assert pick() == fresh_pick(n, edges, color)
+
+
+DP_WALK_EQUATIONS = ("x+y=z", "x+2y=z", "x^2+y^2=z^2", "x+y+z=w",
+                     "2x^2+2y^2=z^2+w^2+~a^2", "x0=y0+y1")
+
+
+@st.composite
+def dp_walks(draw):
+    """An equation, up to 14 vertices, 1-3 colors, and a walk: None undoes
+    the last placement, j places the lowest uncolored vertex with its j-th
+    candidate (modulo their count)."""
+    text = draw(st.sampled_from(DP_WALK_EQUATIONS))
+    n = draw(st.integers(1, 14))
+    r = draw(st.integers(1, 3))
+    steps = draw(st.lists(st.none() | st.integers(0, 2), max_size=30))
+    return text, n, r, steps
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(walk=dp_walks())
+def test_dp_undo_is_exact(walk):
+    # an unassign that leaves a class's masks pushed, or a log restored in
+    # forward order, leaves a later placement or a domain different
+    text, n, r, steps = walk
+    color = [0] * (n + 1)
+    domain = [(1 << r) - 1] * (n + 1)
+    candidates, assign, unassign = solver._dp_checks(
+        parse_equation(text), n, r, color, domain)
+    trail = []                            # (token, color and domain before it)
+    for step in steps:
+        if step is None:
+            if trail:
+                token, before = trail.pop()
+                solver._undo(token, color, domain, unassign)
+                assert (color, domain) == before
+            continue
+        if color.count(0) == 1:           # every vertex colored
+            continue
+        v = color.index(0, 1)
+        cand = candidates(v, r)
+        c = cand[step % len(cand)]
+        before = (color[:], domain[:])
+        ok, token = solver._place(v, c, color, domain, assign, unassign)
+        if ok:
+            trail.append((token, before))
+            solver._undo(token, color, domain, unassign)
+        assert (color, domain) == before
+        if ok:
+            assert solver._place(v, c, color, domain, assign, unassign) == (ok, token)
 
 
 def test_dp_colors_forced_vertices():
