@@ -486,13 +486,18 @@ def _iter_reps(eq: Equation, n: int, closing: bool = False,
 
     A representative is a (lhs, rhs) pair of per-group value tuples.  Each
     pass materializes the side with fewer estimated assignments into a
-    total -> values table and streams the other side against it."""
+    total -> values table and streams the other side against it.  A pass
+    where either side's least total is past cap yields nothing and is
+    skipped before anything is built: in a closing scan of x1^2+...+xk^2
+    = z^2, the pass that pins the lhs at n starts at n^2 + k - 1."""
     check_overflow(eq, n)
     lhs, rhs = _plan(eq)
     distinct = eq.distinct_required
     budget = _Budget(deadline)
     cap = _cap(lhs, rhs, n, eq.degree)
     for scan in _scans(lhs + rhs, n, eq.degree, closing, cap):
+        if _tail_min(lhs, scan)[0] > cap or _tail_min(rhs, scan)[0] > cap:
+            continue
         est_lhs, est_rhs = _est_reps(lhs, scan), _est_reps(rhs, scan)
         mat_lhs = est_lhs <= est_rhs
         mat_groups, stream_groups = (lhs, rhs) if mat_lhs else (rhs, lhs)

@@ -37,12 +37,17 @@ unassign (reverse assign's own counters).
   edges closing there; it narrows no domain and forces nothing.
 
 The backend rule counts solution representatives (_iter_reps), not
-edges: auto takes dp past AUTO_EDGE_CAP representatives of [1, n], and a
-forced edge backend is refused past EDGE_BACKEND_CAP.  find_coloring asks
-the exact count (_count_reps) first and enumerates nothing when it
-decides; compute_rado's closing scans, and any instance too large to
-count, count representatives as they enumerate them, against the same
-caps.  Each switch to dp is logged at info on the "rado" logger.
+edges.  auto takes dp once representatives x slots (constrained
+variables) pass n^2: an edge placement walks the vertex's incident
+edges, about representatives x slots / n of them, while a dp placement
+strikes over at most n vertices.  AUTO_EDGE_CAP representatives bound
+edge's memory whatever n is, and they alone move a distinct: equation,
+whose dp path scans closing edges at each placement instead.  A forced
+edge backend is refused past EDGE_BACKEND_CAP.  find_coloring asks the
+exact count (_count_reps) first and enumerates nothing when it decides;
+compute_rado's closing scans, and any instance too large to count, count
+representatives as they enumerate them, against the same bounds.  Each
+switch to dp is logged at info on the "rado" logger.
 """
 
 from __future__ import annotations
@@ -73,9 +78,9 @@ LOWER_BOUND = "lower-bound"
 
 BACKENDS = ("edge", "dp", "auto")
 
-# auto prefers edges while [1, n] has at most this many solution
-# representatives (at least as many as its edges), small enough that
-# per-node counter updates beat the DP's bigint shifts
+# auto never keeps edges past this many solution representatives of
+# [1, n] (at least as many as its edges): it bounds edge's per-edge lists
+# where representatives x slots stay below n^2, as for x+y=z at any n
 AUTO_EDGE_CAP = 20_000
 EDGE_BACKEND_CAP = 1_000_000
 ORACLE_CAP = 10**8
@@ -192,30 +197,40 @@ def _edges(eq, n, backend, deadline, closing=False, have=0):
     """The EdgeSet of [1, n] (with closing, of the edges whose largest
     value is n, given have representatives below n), or None for dp.
 
-    One rule on representatives: auto moves to dp past AUTO_EDGE_CAP
-    representatives of [1, n], and edge is refused past EDGE_BACKEND_CAP.
-    A one-shot call asks _count_reps first and enumerates nothing when the
-    count decides; a closing or uncounted call counts representatives as
-    it enumerates them.  Raises EnumerationTimeout if the deadline passes
-    while enumerating."""
+    One rule on representatives of [1, n]: auto moves to dp past
+    min(AUTO_EDGE_CAP, n*n // slots) of them, slots the constrained
+    variables, or past AUTO_EDGE_CAP alone for a distinct: equation; edge
+    is refused past EDGE_BACKEND_CAP.  A one-shot call asks _count_reps
+    first and enumerates nothing when the count decides; a closing or
+    uncounted call counts representatives as it enumerates them.  Raises
+    EnumerationTimeout if the deadline passes while enumerating."""
     if backend == "dp":
         return None
     auto = backend == "auto"
     cap = AUTO_EDGE_CAP if auto else EDGE_BACKEND_CAP
+    slots = len(eq.lhs) + len(eq.rhs) - len(eq.free_vars)
+    dense = auto and not eq.distinct_required and n * n // slots < cap
+    if dense:
+        cap = n * n // slots
     count = None if closing else _count_reps(eq, n)
-    if count is not None and count > cap:
-        why = f"{count:,} representatives > AUTO_EDGE_CAP={cap:,}"
-    else:
+    if count is None or count <= cap:
         try:
             return build_hyperedges(eq, n, closing=closing, rep_cap=cap - have,
                                     deadline=deadline)
         except EnumerationBudgetExceeded:
-            why = f"more than AUTO_EDGE_CAP={cap:,} representatives"
+            pass
     if not auto:
         raise SolverError(
             f"edge backend refused: more than {EDGE_BACKEND_CAP} representatives; "
             "use backend 'dp' or 'auto'"
         )
+    if dense:
+        reps = f"{count:,}" if count is not None else f"at least {cap + 1:,}"
+        why = f"{reps} representatives × {slots} slots > {n}²"
+    elif count is not None:
+        why = f"{count:,} representatives > AUTO_EDGE_CAP={cap:,}"
+    else:
+        why = f"more than AUTO_EDGE_CAP={cap:,} representatives"
     log.info("n=%d: %s, dp", n, why)
     return None
 

@@ -738,7 +738,7 @@ def test_each_switch_to_dp_logs_one_line(caplog, monkeypatch):
     eq = parse_equation("+".join(f"x{i}^2" for i in range(5)) + "=y0^2+y1^2")
     out = find_coloring(eq, 31, 3, SearchParams(time_budget=0.01))
     assert out.backend == "dp"
-    assert caplog.messages == ["n=31: 36,783 representatives > AUTO_EDGE_CAP=20,000, dp"]
+    assert caplog.messages == ["n=31: 36,783 representatives × 7 slots > 31², dp"]
 
     # compute_rado switches once, from the representatives its closing
     # scans count, and stays on dp
@@ -750,6 +750,51 @@ def test_each_switch_to_dp_logs_one_line(caplog, monkeypatch):
     assert caplog.messages == [
         f"n={switch}: more than AUTO_EDGE_CAP=10 representatives, dp"
     ]
+
+
+def test_auto_takes_dp_past_n_squared_over_slots(caplog):
+    # x+y=2w, 3 slots: [1, 6] has 12 representatives, 12 x 3 = 6^2, and
+    # stays on edge; [1, 5] has 9, one past 5^2 // 3 = 8, and goes to dp
+    caplog.set_level(logging.INFO, logger="rado")
+    eq = parse_equation("x+y=2w")
+    assert solver._edges(eq, 6, "auto", math.inf).reps == 12
+    assert solver._edges(eq, 5, "auto", math.inf) is None
+    # a closing scan counts the representatives below n in: 9 below 6
+    # leave room for exactly the 3 that close at 6
+    assert solver._edges(eq, 6, "auto", math.inf, closing=True, have=9).reps == 3
+    assert solver._edges(eq, 6, "auto", math.inf, closing=True, have=10) is None
+    assert caplog.messages == [
+        "n=5: 9 representatives × 3 slots > 5², dp",
+        "n=6: at least 13 representatives × 3 slots > 6², dp",
+    ]
+    # a forced edge backend keeps EDGE_BACKEND_CAP alone
+    assert solver._edges(eq, 5, "edge", math.inf).reps == 9
+
+
+def test_k_squares_row_runs_on_dp():
+    # x1^2+...+x8^2 = z^2 has 9 slots and passes [1, n]'s n^2 // 9
+    # representatives before its first cold bound
+    out = compute_rado(family_equation(8), 2)
+    assert (out.kind, out.value) == (EXACT, 20)
+    cold = [b.backend for b in out.bounds if not b.warm]
+    assert cold and set(cold) == {"dp"}
+
+
+@pytest.mark.parametrize("text, n", [("x^2+y^2+z^2=w^2", 105), ("x^2+y^2=z^2", 4000)])
+def test_auto_keeps_edge_for_sparse_squares(text, n):
+    # Theorem 1's refutation and the Pythagorean run stay far below n^2
+    # representatives x slots
+    assert isinstance(solver._edges(parse_equation(text), n, "auto", math.inf),
+                      solutions.EdgeSet)
+
+
+def test_distinct_keeps_auto_edge_cap():
+    # distinct: scans closing edges at each dp placement, so only
+    # AUTO_EDGE_CAP moves it: n=40 stays on edge, past 40^2 // 4 = 400
+    # representatives
+    eq = parse_equation("x+y+z=w", distinct=True)
+    assert len(list(solutions._iter_reps(eq, 40))) > 400
+    assert find_coloring(eq, 40, 3).backend == "edge"
 
 
 def test_auto_keeps_edge_for_pythagorean_past_8800():
