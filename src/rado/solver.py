@@ -48,6 +48,13 @@ exact count (_count_reps) first and enumerates nothing when it decides;
 compute_rado's closing scans, and any instance too large to count, count
 representatives as they enumerate them, against the same bounds.  Each
 switch to dp is logged at info on the "rado" logger.
+
+compute_rado's warm step extends the last witness to a new n before any
+search.  On dp it keeps each color class's masks from one n to the next,
+sized for values up to 2n (at most n_cap) since their capmask grows with
+n, and grows n into one class after another, the test assign makes.  It
+rebuilds them from the witness once n passes that size, when auto
+switches to dp, and after a cold search, during which none are kept.
 """
 
 from __future__ import annotations
@@ -538,7 +545,10 @@ def compute_rado(
     cheap); when no extension survives, a full search runs for that n.
     Bounds are reported from the first n that closes a solution.  The
     edge list grows by the edges closing at each new n, under the backend
-    rule of find_coloring for [1, n]; once on dp, auto stays there.
+    rule of find_coloring for [1, n]; once on dp, auto stays there, and
+    the warm step's per-class masks (_kept_masks) are kept across n,
+    rebuilt from the witness past their size, on the switch to dp and
+    after a cold search.
     """
     params = params or SearchParams()
     _validate(1, r)
@@ -548,6 +558,7 @@ def compute_rado(
     edges: list[tuple[int, ...]] | None = [] if params.backend != "dp" else None
     reps = 0                              # the representatives behind edges
     colors: list[int] = []                # the witness: colors[v-1] is v's color
+    kept = None                           # the dp warm step's masks (_try_extend)
     n = 0
     while n < params.n_cap and time.monotonic() <= deadline:
         n += 1
@@ -562,7 +573,11 @@ def compute_rado(
                     closing = found.edges
                     edges.extend(closing)
                     reps += found.reps
-            c = _try_extend(eq, colors, n, r, closing, deadline)
+            if edges is None and not eq.distinct_required:
+                check_overflow(eq, n)
+                if kept is None or n > kept[0]:
+                    kept = _kept_masks(eq, colors, r, min(2 * n, params.n_cap))
+            c = _try_extend(eq, colors, n, r, closing, deadline, kept)
         except EnumerationTimeout:
             break
         if c is not None:
@@ -578,6 +593,7 @@ def compute_rado(
 
         if time.monotonic() > deadline:
             break
+        kept = None                       # rebuilt from the new witness
         outcome = _search(eq, n, r, edges, deadline)
         outcome.stats.elapsed_ms = int((time.monotonic() - t0) * 1000)
         bounds.append(BoundReport(
@@ -597,11 +613,14 @@ def _outcome(kind, value, colors, r, bounds) -> RadoOutcome:
     return RadoOutcome(kind, value, Coloring(len(colors), r, tuple(colors)), bounds)
 
 
-def _try_extend(eq, colors, n, r, closing, deadline):
+def _try_extend(eq, colors, n, r, closing, deadline, kept):
     """The color that extends the witness colors of [1, n-1] to n, or None.
 
     closing holds the edges whose largest value is n, or None on the dp
-    backend, which asks dp_feasible instead."""
+    backend.  There kept is _kept_masks' state for colors, and a color
+    extends when growing n into its class's masks closes no solution (the
+    class held none); the extending color's masks keep n.  A distinct:
+    equation (kept None) asks dp_feasible per color instead."""
     if closing is not None:
         for c in range(1, r + 1):
             ok = True
@@ -617,12 +636,35 @@ def _try_extend(eq, colors, n, r, closing, deadline):
             if ok:
                 return c
         return None
+    if kept is None:
+        for c in range(1, r + 1):
+            cls = [v for v in range(1, n) if colors[v - 1] == c]
+            cls.append(n)
+            if not dp_feasible(eq, cls, n, deadline):
+                return c
+        return None
+    _, lgroups, rgroups, capmask, masks = kept
     for c in range(1, r + 1):
-        cls = [v for v in range(1, n) if colors[v - 1] == c]
-        cls.append(n)
-        if not dp_feasible(eq, cls, n, deadline):
+        la, ra = masks[c]
+        la, ra = _grow(la, lgroups, n, capmask), _grow(ra, rgroups, n, capmask)
+        if not la[-1] & ra[-1]:
+            masks[c] = la, ra
             return c
     return None
+
+
+def _kept_masks(eq, colors, r, bound):
+    """(bound, lhs groups, rhs groups, capmask, masks): masks[c] holds
+    the lhs and rhs masks of _dp_sides(eq, bound) grown by the values of
+    color c in colors, for values up to bound since capmask grows with n.
+    DP_MASK_CAP does not depend on bound, and the caller checks the
+    overflow guard at n, so neither refuses at an earlier n."""
+    (lm, lgroups), (rm, rgroups), capmask = _dp_sides(eq, bound)
+    masks = [(lm, rm)] * (r + 1)
+    for v, c in enumerate(colors, 1):
+        la, ra = masks[c]
+        masks[c] = _grow(la, lgroups, v, capmask), _grow(ra, rgroups, v, capmask)
+    return bound, lgroups, rgroups, capmask, masks
 
 
 def oracle_colorable(eq: Equation, n: int, r: int) -> bool:

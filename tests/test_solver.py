@@ -12,6 +12,7 @@ from rado.equations import family_equation, parse_equation
 from rado.solutions import (
     CLOCK_CHECK_NODES,
     EnumerationTimeout,
+    OverflowGuardError,
     build_hyperedges,
 )
 from rado.solver import (
@@ -778,6 +779,68 @@ def test_k_squares_row_runs_on_dp():
     assert (out.kind, out.value) == (EXACT, 20)
     cold = [b.backend for b in out.bounds if not b.warm]
     assert cold and set(cold) == {"dp"}
+
+
+def dp_feasible_extend(eq, colors, n, r):
+    """The dp warm step before the kept masks: one dp_feasible call per
+    color, on its class in colors plus n."""
+    for c in range(1, r + 1):
+        cls = [v for v in range(1, n) if colors[v - 1] == c] + [n]
+        if not solutions.dp_feasible(eq, cls, n):
+            return c
+    return None
+
+
+@pytest.mark.parametrize("text, r, backend, cap, cold", [
+    ("x1^2+x2^2+x3^2+x4^2=z^2", 2, "dp", 10_000, [14, 29, 37]),   # a group a side
+    ("x^2+y^2+2z^2=w^2", 2, "dp", 10_000, [14, 29, 37]),          # two groups on a side
+    ("2x^2+2y^2=z^2+w^2+~a^2", 2, "dp", 60, [9]),                 # a free variable
+    ("x0=y0+y1", 3, "dp", 10_000, [8, 10, 11, 13, 14]),           # linear
+    ("x1^2+x2^2+x3^2+x4^2+x5^2+x6^2+x7^2+x8^2=z^2", 2, "auto", 10_000,
+     [14, 15, 20]),                                               # dp from n=7
+])
+def test_kept_masks_extend_as_dp_feasible_does(monkeypatch, text, r, backend, cap, cold):
+    # at every n on dp the kept masks pick the color dp_feasible picks:
+    # across rebuilds (masks outgrown, auto's switch to dp) and right
+    # after each cold bound
+    eq = parse_equation(text)
+    extend, calls = solver._try_extend, []
+
+    def compared(*args):
+        _, colors, n, r, closing, _, kept = args
+        expected = dp_feasible_extend(eq, colors, n, r) if closing is None else None
+        c = extend(*args)
+        assert closing is not None or c == expected, n
+        calls.append((n, kept))
+        return c
+
+    monkeypatch.setattr(solver, "_try_extend", compared)
+    out = compute_rado(eq, r, SearchParams(backend=backend, n_cap=cap))
+    assert [b.n for b in out.bounds if not b.warm] == cold
+    assert [n for n, _ in calls] == list(range(1, cold[-1] + 1))
+    assert any(k0 is not k1 and n - 1 not in cold
+               for (_, k0), (n, k1) in zip(calls, calls[1:]) if k1 is not None)
+
+
+@pytest.mark.parametrize("backend", ["dp", "auto"])
+def test_dp_warm_step_makes_no_dp_feasible_call(monkeypatch, backend):
+    def refuse(*args):
+        raise AssertionError("dp_feasible called on an equation without distinct:")
+
+    monkeypatch.setattr(solver, "dp_feasible", refuse)
+    out = compute_rado(family_equation(8), 2, SearchParams(backend=backend))
+    assert (out.kind, out.value) == (EXACT, 20)
+
+
+def test_dp_warm_step_keeps_the_overflow_guard(monkeypatch):
+    # the kept masks are sized ahead, but the guard still stops the run at
+    # the first n past it, and not before
+    monkeypatch.setattr(solutions, "OVERFLOW_LIMIT", 4 * 20**2)
+    eq = family_equation(4)
+    with pytest.raises(OverflowGuardError, match="bound 21 overflows"):
+        compute_rado(eq, 2, SearchParams(backend="dp", n_cap=60))
+    out = compute_rado(eq, 2, SearchParams(backend="dp", n_cap=20))
+    assert (out.kind, out.value) == (LOWER_BOUND, 20)
 
 
 @pytest.mark.parametrize("text, n", [("x^2+y^2+z^2=w^2", 105), ("x^2+y^2=z^2", 4000)])
