@@ -33,8 +33,7 @@ never charged: the clock is read less often than without the table.
 A distinct: equation is enumerated like any other, and _iter_reps drops
 each representative with a repeated constrained value; no other
 enumeration path reads the marker.  dp_feasible decides a distinct:
-equation from the edges closing at its pivot, enumerated once per
-(equation, pivot) and cached.
+equation from the edges closing at its pivot, enumerated at each call.
 """
 
 from __future__ import annotations
@@ -710,20 +709,7 @@ def edges_to_json(eq: Equation, edge_set: EdgeSet) -> dict:
     }
 
 
-# the closing edges dp_feasible read, by (equation, pivot), oldest first
-_closing_cache: dict[tuple[Equation, int], tuple[tuple[int, ...], ...]] = {}
-
-
-def _closing_edges(eq: Equation, pivot: int, deadline: float | None):
-    key = eq, pivot
-    if key not in _closing_cache:
-        if len(_closing_cache) >= 256:
-            del _closing_cache[next(iter(_closing_cache))]
-        _closing_cache[key] = build_hyperedges(eq, pivot, closing=True, deadline=deadline).edges
-    return _closing_cache[key]
-
-
-def dp_feasible(eq: Equation, class_values, pivot: int, deadline: float | None = None) -> bool:
+def dp_feasible(eq: Equation, class_values, pivot: int) -> bool:
     """True iff some solution uses only class_values for its constrained
     variables with maximum value exactly pivot (repetition allowed unless
     the equation requires distinct values).
@@ -731,9 +717,8 @@ def dp_feasible(eq: Equation, class_values, pivot: int, deadline: float | None =
     Free variables may take any positive integer.  The class is grown into
     the dp search's masks (_dp_sides), then pivot is asked for in one slot
     of some constrained group.  A distinct: equation looks instead for an
-    edge closing at pivot within the class, among the closing edges cached
-    per (equation, pivot); that scan raises EnumerationTimeout past a
-    time.monotonic() deadline, and nothing is cached then.
+    edge within the class among those closing at pivot, from one scan
+    (build_hyperedges with closing=True).
     """
     values = sorted(set(class_values))
     if not values or values[0] < 1:
@@ -746,7 +731,7 @@ def dp_feasible(eq: Equation, class_values, pivot: int, deadline: float | None =
 
     if eq.distinct_required:
         cls = set(values)
-        return any(cls.issuperset(e) for e in _closing_edges(eq, pivot, deadline))
+        return any(cls.issuperset(e) for e in build_hyperedges(eq, pivot, closing=True).edges)
 
     (lm, lgroups), (rm, rgroups), capmask = _dp_sides(eq, pivot)
     for v in values:

@@ -32,22 +32,21 @@ unassign (reverse assign's own counters).
   (_dp_sides).  It also forward-checks: after a vertex joins class c, c is
   struck from each uncolored vertex above the decision that would close a
   solution with itself in one slot of a side's first group and the rest
-  of the class, and a wiped-out domain rejects the placement.  A distinct:
-  equation takes one dp_feasible call per vertex placed instead, on the
-  edges closing there; it narrows no domain and forces nothing.
+  of the class, and a wiped-out domain rejects the placement.  Its masks
+  cannot keep values distinct, so a distinct: equation runs on edge only,
+  and backend dp refuses it.
 
 The backend rule counts solution representatives (_iter_reps), not
 edges.  auto takes dp once representatives x slots (constrained
 variables) pass n^2: an edge placement walks the vertex's incident
 edges, about representatives x slots / n of them, while a dp placement
 strikes over at most n vertices.  AUTO_EDGE_CAP representatives bound
-edge's memory whatever n is, and they alone move a distinct: equation,
-whose dp path scans closing edges at each placement instead.  A forced
-edge backend is refused past EDGE_BACKEND_CAP.  find_coloring asks the
-exact count (_count_reps) first and enumerates nothing when it decides;
-compute_rado's closing scans, and any instance too large to count, count
-representatives as they enumerate them, against the same bounds.  Each
-switch to dp is logged at info on the "rado" logger.
+edge's memory whatever n is.  A forced edge backend, and auto on a
+distinct: equation, is refused past EDGE_BACKEND_CAP.  find_coloring
+asks the exact count (_count_reps) first and enumerates nothing when it
+decides; compute_rado's closing scans, and any instance too large to
+count, count representatives as they enumerate them, against the same
+bounds.  Each switch to dp is logged at info on the "rado" logger.
 
 compute_rado's warm step extends the last witness to a new n before any
 search.  On dp it keeps each color class's masks from one n to the next,
@@ -70,7 +69,7 @@ from .solutions import (
     EnumerationTimeout,
     build_hyperedges,
     check_overflow,
-    dp_feasible,
+    dp_feasible,  # not called here; perfbench/tracer.py wraps solver.dp_feasible
     _count_reps,
     _dp_sides,
     _grow,
@@ -86,8 +85,9 @@ LOWER_BOUND = "lower-bound"
 BACKENDS = ("edge", "dp", "auto")
 
 # auto never keeps edges past this many solution representatives of
-# [1, n] (at least as many as its edges): it bounds edge's per-edge lists
-# where representatives x slots stay below n^2, as for x+y=z at any n
+# [1, n] (at least as many as its edges), distinct: equations aside; it
+# bounds edge's per-edge lists where representatives x slots stay below
+# n^2, as for x+y=z at any n
 AUTO_EDGE_CAP = 20_000
 EDGE_BACKEND_CAP = 1_000_000
 ORACLE_CAP = 10**8
@@ -180,7 +180,7 @@ def find_coloring(
     exhausting the space, or budget-exhausted (no claim).
     """
     params = params or SearchParams()
-    _validate(n, r)
+    _validate(n, r, eq, params.backend)
     check_overflow(eq, n)
     deadline = time.monotonic() + params.time_budget
     try:
@@ -193,11 +193,13 @@ def find_coloring(
     return outcome
 
 
-def _validate(n: int, r: int) -> None:
+def _validate(n: int, r: int, eq: Equation | None = None, backend: str = "") -> None:
     if n < 1:
         raise SolverError(f"n must be >= 1, got {n}")
     if r < 1:
         raise SolverError(f"r must be >= 1, got {r}")
+    if backend == "dp" and eq.distinct_required:
+        raise SolverError("backend 'dp' refuses a distinct: equation; use 'edge' or 'auto'")
 
 
 def _edges(eq, n, backend, deadline, closing=False, have=0):
@@ -206,17 +208,17 @@ def _edges(eq, n, backend, deadline, closing=False, have=0):
 
     One rule on representatives of [1, n]: auto moves to dp past
     min(AUTO_EDGE_CAP, n*n // slots) of them, slots the constrained
-    variables, or past AUTO_EDGE_CAP alone for a distinct: equation; edge
-    is refused past EDGE_BACKEND_CAP.  A one-shot call asks _count_reps
-    first and enumerates nothing when the count decides; a closing or
-    uncounted call counts representatives as it enumerates them.  Raises
+    variables; edge, and auto on a distinct: equation, is refused past
+    EDGE_BACKEND_CAP.  A one-shot call asks _count_reps first and
+    enumerates nothing when the count decides; a closing or uncounted
+    call counts representatives as it enumerates them.  Raises
     EnumerationTimeout if the deadline passes while enumerating."""
     if backend == "dp":
         return None
-    auto = backend == "auto"
+    auto = backend == "auto" and not eq.distinct_required
     cap = AUTO_EDGE_CAP if auto else EDGE_BACKEND_CAP
     slots = len(eq.lhs) + len(eq.rhs) - len(eq.free_vars)
-    dense = auto and not eq.distinct_required and n * n // slots < cap
+    dense = auto and n * n // slots < cap
     if dense:
         cap = n * n // slots
     count = None if closing else _count_reps(eq, n)
@@ -227,9 +229,10 @@ def _edges(eq, n, backend, deadline, closing=False, have=0):
         except EnumerationBudgetExceeded:
             pass
     if not auto:
+        hint = ("a distinct: equation runs on edge only" if eq.distinct_required
+                else "use backend 'dp' or 'auto'")
         raise SolverError(
-            f"edge backend refused: more than {EDGE_BACKEND_CAP} representatives; "
-            "use backend 'dp' or 'auto'"
+            f"edge backend refused: more than {EDGE_BACKEND_CAP} representatives; {hint}"
         )
     if dense:
         reps = f"{count:,}" if count is not None else f"at least {cap + 1:,}"
@@ -253,17 +256,11 @@ def _search(eq, n, r, edges, deadline) -> SearchOutcome:
         pick, checks = _edge_checks(n, r, edges, color, domain)
     else:
         backend = "dp"
-        if eq.distinct_required:
-            checks = _dp_distinct_checks(eq, r, color, domain, deadline)
-        else:
-            checks = _dp_checks(eq, n, r, color, domain)
+        checks = _dp_checks(eq, n, r, color, domain)
 
         def pick():       # the lowest uncolored vertex (color[0] stays 0)
             return color.index(0, 1) if color.count(0) > 1 else 0
-    try:
-        verdict = _backtrack(pick, color, domain, r, *checks, stats, deadline)
-    except EnumerationTimeout:            # in a distinct: dp_feasible scan
-        verdict = BUDGET_EXHAUSTED
+    verdict = _backtrack(pick, color, domain, r, *checks, stats, deadline)
     coloring = None
     if verdict == COLORABLE:
         # vertices on no edge are never searched and take color 1
@@ -519,21 +516,6 @@ def _dp_checks(eq, n, r, color, domain):
     return _viable(domain, r), assign, unassign
 
 
-def _dp_distinct_checks(eq, r, color, domain, deadline):
-    """The dp path for a distinct: equation: a dp_feasible call per
-    placement, which reads the edges closing at the new vertex."""
-    classes: list[list[int]] = [[] for _ in range(r + 1)]
-
-    def assign(v, c, log, forced):
-        classes[c].append(v)
-        return not dp_feasible(eq, classes[c], v, deadline)
-
-    def unassign(v):
-        classes[color[v]].pop()
-
-    return _viable(domain, r), assign, unassign
-
-
 def compute_rado(
     eq: Equation, r: int, params: SearchParams | None = None
 ) -> RadoOutcome:
@@ -551,7 +533,7 @@ def compute_rado(
     after a cold search.
     """
     params = params or SearchParams()
-    _validate(1, r)
+    _validate(1, r, eq, params.backend)
     deadline = time.monotonic() + params.time_budget
     bounds: list[BoundReport] = []
     # every edge of [1, n], by (max, tuple); None once the search is on dp
@@ -563,23 +545,23 @@ def compute_rado(
     while n < params.n_cap and time.monotonic() <= deadline:
         n += 1
         t0 = time.monotonic()
-        try:
-            closing = None
-            if edges is not None:
+        closing = None
+        if edges is not None:
+            try:
                 found = _edges(eq, n, params.backend, deadline, closing=True, have=reps)
-                if found is None:
-                    edges = None
-                else:
-                    closing = found.edges
-                    edges.extend(closing)
-                    reps += found.reps
-            if edges is None and not eq.distinct_required:
-                check_overflow(eq, n)
-                if kept is None or n > kept[0]:
-                    kept = _kept_masks(eq, colors, r, min(2 * n, params.n_cap))
-            c = _try_extend(eq, colors, n, r, closing, deadline, kept)
-        except EnumerationTimeout:
-            break
+            except EnumerationTimeout:
+                break
+            if found is None:
+                edges = None
+            else:
+                closing = found.edges
+                edges.extend(closing)
+                reps += found.reps
+        if edges is None:
+            check_overflow(eq, n)
+            if kept is None or n > kept[0]:
+                kept = _kept_masks(eq, colors, r, min(2 * n, params.n_cap))
+        c = _try_extend(colors, n, r, closing, kept)
         if c is not None:
             colors.append(c)
             # while every value has color 1, color 1 extends to n exactly
@@ -613,14 +595,13 @@ def _outcome(kind, value, colors, r, bounds) -> RadoOutcome:
     return RadoOutcome(kind, value, Coloring(len(colors), r, tuple(colors)), bounds)
 
 
-def _try_extend(eq, colors, n, r, closing, deadline, kept):
+def _try_extend(colors, n, r, closing, kept):
     """The color that extends the witness colors of [1, n-1] to n, or None.
 
     closing holds the edges whose largest value is n, or None on the dp
     backend.  There kept is _kept_masks' state for colors, and a color
     extends when growing n into its class's masks closes no solution (the
-    class held none); the extending color's masks keep n.  A distinct:
-    equation (kept None) asks dp_feasible per color instead."""
+    class held none); the extending color's masks keep n."""
     if closing is not None:
         for c in range(1, r + 1):
             ok = True
@@ -634,13 +615,6 @@ def _try_extend(eq, colors, n, r, closing, deadline, kept):
                     ok = False
                     break
             if ok:
-                return c
-        return None
-    if kept is None:
-        for c in range(1, r + 1):
-            cls = [v for v in range(1, n) if colors[v - 1] == c]
-            cls.append(n)
-            if not dp_feasible(eq, cls, n, deadline):
                 return c
         return None
     _, lgroups, rgroups, capmask, masks = kept

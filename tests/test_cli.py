@@ -372,6 +372,12 @@ def test_distinct_flag(capsys):
     assert all("x=3 y=3" not in line for line in out.splitlines())
 
 
+def test_dp_refuses_distinct_exit_2(capsys):
+    code, out, err = run(capsys, "rado", "distinct: x+y=z", "-r", "3", "--backend", "dp")
+    assert (code, out) == (2, "")
+    assert "backend 'dp' refuses a distinct: equation" in err
+
+
 HELP = (("-h", "--help"), argparse.SUPPRESS, None, None, False, 0)
 FLAG = (False, None, None, False, 0)    # a store_true flag, less its option string
 REQUIRED_INT = (None, int, None, True, None)

@@ -393,14 +393,6 @@ def test_dp_feasible_distinct_matches_naive(text):
         assert dp_feasible(eq, cls, pivot) == expected, (text, sorted(cls), pivot)
 
 
-def test_closing_cache_drops_the_oldest_past_256(monkeypatch):
-    monkeypatch.setattr(solutions, "_closing_cache", {})
-    eq = parse_equation("x+y=z", distinct=True)
-    for pivot in range(1, 301):
-        dp_feasible(eq, {pivot}, pivot)
-    assert list(solutions._closing_cache) == [(eq, p) for p in range(45, 301)]
-
-
 def test_canonical_iteration_collapses_permutations():
     eq = parse_equation("x^2+y^2=z^2")
     reps = list(iter_canonical_solutions(eq, 5))

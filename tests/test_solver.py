@@ -254,10 +254,10 @@ def test_dp_forward_checking_prunes():
     ("dp", "x0=y0+y1", False, 14, 3, (UNCOLORABLE, 53, 227, 8), None),
     # dp, two groups on one side: forward checking from the first group
     ("dp", "x^2+y^2+2z^2=w^2", False, 30, 2, (COLORABLE, 4, 27, 3), None),
-    # distinct: on dp, a dp_feasible call per node
-    ("dp", "x+y=z", True, 8, 2,
-     (COLORABLE, 14, 0, 8), (1, 1, 2, 1, 2, 2, 2, 1)),
-    ("dp", "x+y=z", True, 9, 2, (UNCOLORABLE, 53, 0, 8), None),
+    # distinct: runs on edge only
+    ("edge", "x+y=z", True, 8, 2,
+     (COLORABLE, 4, 10, 3), (1, 1, 2, 1, 2, 2, 2, 1)),
+    ("edge", "x+y=z", True, 9, 2, (UNCOLORABLE, 5, 20, 2), None),
 ])
 def test_search_traces_are_pinned(backend, text, distinct, n, r, trace, witness):
     # exact counts, one case per search path: a change to the search core
@@ -273,13 +273,14 @@ def test_search_traces_are_pinned(backend, text, distinct, n, r, trace, witness)
         assert_valid(eq, out.coloring)
 
 
-def test_dp_distinct_search_pinned():
-    # distinct: on dp reads the cached closing edges; the exhaustive search
-    # it replaced ran out of a 20 s budget after about 150 nodes here
+def test_distinct_search_pinned():
+    # on dp, which checked each placement against the closing edges, this
+    # search took 3,076 nodes; an exhaustive per-class scan before that ran
+    # out of a 20 s budget after about 150
     eq = parse_equation("x^2+y^2+z^2=w^2", distinct=True)
-    out = find_coloring(eq, 60, 2, SearchParams(backend="dp", time_budget=10))
-    assert (out.verdict, out.stats.nodes, out.stats.propagations,
-            out.stats.max_depth) == (COLORABLE, 3076, 0, 60)
+    out = find_coloring(eq, 60, 2, SearchParams(time_budget=10))
+    assert (out.backend, out.verdict, out.stats.nodes, out.stats.propagations,
+            out.stats.max_depth) == ("edge", COLORABLE, 43, 42, 38)
     assert_valid(eq, out.coloring)
 
 
@@ -401,7 +402,7 @@ def test_rado_deadline_checked_before_the_cold_search(monkeypatch):
     def late(*args):
         c = extend(*args)
         if c is None:
-            failed.append(args[2])
+            failed.append(args[1])
             clock.now = 1000.0     # the deadline passes as the warm step fails
         return c
 
@@ -441,52 +442,6 @@ def test_find_coloring_deadline_covers_enumeration(monkeypatch, backend):
     assert out.verdict == BUDGET_EXHAUSTED
     assert out.coloring is None
     assert out.stats.nodes == 0
-
-
-def late_closing_scan(monkeypatch, clock, pivot):
-    """Run dp_feasible's closing scans on clock, past the deadline from
-    the scan at pivot on; returns the pivots whose scan timed out."""
-    monkeypatch.setattr(solutions, "_closing_cache", {})
-    scan = solutions.build_hyperedges
-    timed_out = []
-
-    def late(eq, n, **kwargs):
-        if n == pivot:
-            clock.now = 1000.0     # the deadline passes inside this scan
-        try:
-            return scan(eq, n, **kwargs)
-        except EnumerationTimeout:
-            timed_out.append(n)
-            raise
-
-    monkeypatch.setattr(solutions, "build_hyperedges", late)
-    return timed_out
-
-
-def test_find_coloring_deadline_covers_dp_distinct_scans(monkeypatch):
-    clock = FakeClock()
-    monkeypatch.setattr(solver, "time", clock)
-    monkeypatch.setattr(solutions, "time", clock)
-    timed_out = late_closing_scan(monkeypatch, clock, 10)
-    eq = parse_equation("x+y=z", distinct=True)
-    out = find_coloring(eq, 20, 3, SearchParams(backend="dp", time_budget=100))
-    assert timed_out == [10]
-    assert (out.verdict, out.backend, out.coloring) == (BUDGET_EXHAUSTED, "dp", None)
-    assert (eq, 10) not in solutions._closing_cache
-    assert (eq, 9) in solutions._closing_cache
-
-
-@pytest.mark.parametrize("pivot", [2, 6])    # below the first edge; warm extension
-def test_rado_deadline_covers_dp_distinct_scans(monkeypatch, pivot):
-    clock = FakeClock()
-    monkeypatch.setattr(solver, "time", clock)
-    monkeypatch.setattr(solutions, "time", clock)
-    timed_out = late_closing_scan(monkeypatch, clock, pivot)
-    eq = parse_equation("x+y=z", distinct=True)
-    out = compute_rado(eq, 2, SearchParams(backend="dp", time_budget=100))
-    assert timed_out == [pivot]
-    assert (out.kind, out.value, out.witness.n) == (LOWER_BOUND, pivot - 1, pivot - 1)
-    assert_valid(eq, out.witness)
 
 
 def test_determinism():
@@ -660,9 +615,19 @@ def test_free_variable_instances_match_oracle():
 def test_distinct_instances_match_oracle():
     eq = parse_equation("x+y=z", distinct=True)
     for n in range(1, 10):
-        for backend in ("edge", "dp"):
+        for backend in ("edge", "auto"):
             got = find_coloring(eq, n, 2, SearchParams(backend=backend))
             assert (got.verdict == COLORABLE) == oracle_colorable(eq, n, 2), (n, backend)
+
+
+def test_dp_refuses_distinct():
+    # the dp masks cannot keep a solution's values distinct
+    eq = parse_equation("x+y=z", distinct=True)
+    params = SearchParams(backend="dp")
+    with pytest.raises(SolverError, match="backend 'dp' refuses a distinct: equation"):
+        find_coloring(eq, 9, 2, params)
+    with pytest.raises(SolverError, match="backend 'dp' refuses a distinct: equation"):
+        compute_rado(eq, 2, params)
 
 
 def test_singleton_edge_short_circuit():
@@ -807,7 +772,7 @@ def test_kept_masks_extend_as_dp_feasible_does(monkeypatch, text, r, backend, ca
     extend, calls = solver._try_extend, []
 
     def compared(*args):
-        _, colors, n, r, closing, _, kept = args
+        colors, n, r, closing, kept = args
         expected = dp_feasible_extend(eq, colors, n, r) if closing is None else None
         c = extend(*args)
         assert closing is not None or c == expected, n
@@ -851,13 +816,16 @@ def test_auto_keeps_edge_for_sparse_squares(text, n):
                       solutions.EdgeSet)
 
 
-def test_distinct_keeps_auto_edge_cap():
-    # distinct: scans closing edges at each dp placement, so only
-    # AUTO_EDGE_CAP moves it: n=40 stays on edge, past 40^2 // 4 = 400
-    # representatives
+def test_distinct_keeps_auto_edge_cap(monkeypatch):
+    # auto keeps a distinct: equation on edge past AUTO_EDGE_CAP
+    # representatives, and refuses it past EDGE_BACKEND_CAP without
+    # pointing to dp
     eq = parse_equation("x+y+z=w", distinct=True)
-    assert len(list(solutions._iter_reps(eq, 40))) > 400
-    assert find_coloring(eq, 40, 3).backend == "edge"
+    assert solver._edges(eq, 100, "auto", math.inf).reps == 25_736 > solver.AUTO_EDGE_CAP
+    monkeypatch.setattr(solver, "EDGE_BACKEND_CAP", 100)
+    with pytest.raises(SolverError, match="distinct:") as refused:
+        find_coloring(eq, 40, 3)
+    assert "dp" not in str(refused.value)
 
 
 def test_auto_keeps_edge_for_pythagorean_past_8800():
