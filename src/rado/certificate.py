@@ -16,13 +16,17 @@ the certificate is evidence for ("colorable" or "rado-exact N").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 
 from .equations import EquationError, parse_equation
 from .solutions import (
     OverflowGuardError,
     SolutionCapError,
     SolutionTuple,
-    iter_canonical_solutions,
+    _iter_reps,
+    _plan,
+    _to_solutions,
+    iter_canonical_solutions,  # noqa: F401  unused here; perfbench/tracer.py wraps it
 )
 from .solver import Coloring
 
@@ -139,9 +143,12 @@ def verify(cert: Certificate) -> Verdict:
     chi = (0,) + cert.colors
     try:
         color = chi.__getitem__
-        for sol in iter_canonical_solutions(eq, cert.n):
-            if len(set(map(color, sol.constrained()))) == 1:
-                return Verdict(INVALID, violation=sol)
+        lhs, rhs = _plan(eq)
+        keep = [not g.is_free for g in lhs + rhs]
+        for rep in _iter_reps(eq, cert.n):
+            if len(set(map(color, chain(*compress(rep[0] + rep[1], keep))))) == 1:
+                # the one SolutionTuple built: the violation reported
+                return Verdict(INVALID, violation=next(_to_solutions(lhs, rhs, [rep])))
     except (SolutionCapError, OverflowGuardError) as exc:
         return Verdict(MALFORMED, reason=f"cannot enumerate [1, {cert.n}]: {exc}")
     return Verdict(VALID)

@@ -14,8 +14,13 @@ edge set is empty).  Emission order is fixed so exports are byte-stable:
 symmetry unit, per-vertex clauses ascending, per-edge clauses in edge-set
 order.
 
-Literals are converted once per distinct text through a memo, both ways,
-so parsing holds the tokens seen, whatever the declared variable count.
+Clauses are kept as one flat DIMACS literal list, each clause closed by
+0 (Clauses).  Literals are converted once per distinct value through a
+memo, both ways: write_dimacs joins its texts ("lit ", "0\n"), and
+parse_dimacs checks the range over its distinct values, so parsing holds
+the tokens seen, whatever the declared variable count.  A 0 inside a
+clause shows as more zeros than clause lines; only then, or past the
+range, does a second scan of the lines name the first offending literal.
 parse_dimacs accepts only headers export_cnf can write: n >= 1, r >= 1,
 binary (r=2, n variables) or direct (n*r variables); else CnfError.
 """
@@ -23,7 +28,7 @@ binary (r=2, n variables) or direct (n*r variables); else CnfError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
 
 from .equations import Equation
 from .solutions import EdgeSet
@@ -50,21 +55,59 @@ class _Memo(dict):
         return value
 
 
+class Clauses:
+    """Read-only clauses: one flat DIMACS literal list, each clause closed
+    by 0.  Iterates each clause as a fresh list; equal to another store
+    with the same literals, or to a list of the same clause lists."""
+
+    __slots__ = ("literals", "count")
+
+    def __init__(self, literals: list[int]):
+        self.literals = literals
+        self.count = literals.count(0)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        lits, start = self.literals, 0
+        for _ in range(self.count):
+            end = lits.index(0, start)
+            yield lits[start:end]
+            start = end + 1
+
+    def __eq__(self, other):
+        if isinstance(other, Clauses):
+            return self.literals == other.literals
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Clauses({list(self)!r})"
+
+
 @dataclass
 class CnfInstance:
+    """clauses given as a list of clause lists is converted to Clauses."""
+
     equation: str
     n: int
     r: int
     encoding: str
     variable_count: int
-    clauses: list[list[int]] = field(default_factory=list)
+    clauses: Clauses = field(default_factory=list)
+
+    def __post_init__(self):
+        if not isinstance(self.clauses, Clauses):
+            self.clauses = Clauses([lit for c in self.clauses for lit in (*c, 0)])
 
     @property
     def clause_count(self) -> int:
         return len(self.clauses)
 
     def constrained_variables(self) -> set[int]:
-        return {abs(lit) for clause in self.clauses for lit in clause}
+        return set(map(abs, self.clauses.literals)) - {0}
 
 
 def export_cnf(
@@ -80,28 +123,36 @@ def export_cnf(
 
     n = edges.n
     smallest = min((e[0] for e in edges.edges), default=None)
-    clauses: list[list[int]] = []
+    lits: list[int] = []
+    add = lits.extend
 
     if encoding == BINARY:
         if smallest is not None:
-            clauses.append([-smallest])
+            add((-smallest, 0))
         for e in edges.edges:
-            clauses += [list(e), [-v for v in e]]
+            e += (0,)
+            add(e)
+            add([-v for v in e])
         variable_count = n
     else:
-        # neg[c][i] is the literal "vertex i does not have color c + 1"
-        neg = [[-((i - 1) * r + c) for i in range(n + 1)] for c in range(1, r + 1)]
+        # neg[c][i] is the literal "vertex i does not have color c + 1",
+        # and neg[c][0] is 0, so mapping an edge and 0 closes its clause
+        neg = [[0] + [-((i - 1) * r + c) for i in range(1, n + 1)]
+               for c in range(1, r + 1)]
         if smallest is not None:
-            clauses.append([-neg[0][smallest]])
+            add((-neg[0][smallest], 0))
         for i in range(1, n + 1):
-            clauses.append([-row[i] for row in neg])
-            clauses.extend([a[i], b[i]] for a, b in combinations(neg, 2))
+            add([-row[i] for row in neg] + [0])
+            for a, b in combinations(neg, 2):
+                add((a[i], b[i], 0))
+        colors = [row.__getitem__ for row in neg]
         for e in edges.edges:
-            for row in neg:
-                clauses.append(list(map(row.__getitem__, e)))
+            e += (0,)
+            for color in colors:
+                add(map(color, e))
         variable_count = n * r
 
-    return CnfInstance(eq.render(), n, r, encoding, variable_count, clauses)
+    return CnfInstance(eq.render(), n, r, encoding, variable_count, Clauses(lits))
 
 
 def write_dimacs(inst: CnfInstance) -> str:
@@ -115,10 +166,9 @@ def write_dimacs(inst: CnfInstance) -> str:
         f"c tool {TOOL_VERSION}",
         f"p cnf {inst.variable_count} {inst.clause_count}",
     ]
-    text = _Memo(str).__getitem__
-    for clause in inst.clauses:
-        lines.append(" ".join(map(text, clause)) + " 0")
-    return "\n".join(lines) + "\n"
+    text = _Memo("{} ".format)
+    text[0] = "0\n"
+    return "\n".join(lines) + "\n" + "".join(map(text.__getitem__, inst.clauses.literals))
 
 
 def parse_dimacs(text: str) -> CnfInstance:
@@ -126,8 +176,10 @@ def parse_dimacs(text: str) -> CnfInstance:
     meta: dict[str, str | int] = {}
     variable_count = None
     clause_count = None
-    clauses: list[list[int]] = []
-    literal = _Memo(int).__getitem__
+    lits: list[int] = []
+    clause_lines = 0
+    memo = _Memo(int)
+    literal = memo.__getitem__
     for lineno, line in enumerate(text.splitlines(), 1):
         # only such a line can be blank, a comment or the problem line
         if not line or line[0] in "cp" or line[0].isspace():
@@ -150,16 +202,16 @@ def parse_dimacs(text: str) -> CnfInstance:
                 clause_count = _header_int(fields[3], lineno, line)
                 continue
         try:
-            lits = list(map(literal, line.split()))
+            lits += map(literal, line.split())
         except ValueError:
             raise CnfError(f"line {lineno}: bad clause {line.strip()!r}") from None
-        if lits.pop() != 0:
+        if lits[-1] != 0:
             raise CnfError(f"line {lineno}: clause must end with 0")
-        clauses.append(lits)
+        clause_lines += 1
     if variable_count is None:
         raise CnfError("missing problem line")
-    if clause_count != len(clauses):
-        raise CnfError(f"problem line declares {clause_count} clauses, found {len(clauses)}")
+    if clause_count != clause_lines:
+        raise CnfError(f"problem line declares {clause_count} clauses, found {clause_lines}")
     for key in ("equation", "n", "r", "encoding"):
         if key not in meta:
             raise CnfError(f"missing 'c {key}' header comment")
@@ -171,12 +223,16 @@ def parse_dimacs(text: str) -> CnfInstance:
     if variable_count != expected:
         raise CnfError(f"problem line declares {variable_count} variables, "
                        f"{encoding} encoding of n={n}, r={r} has {expected}")
-    used = set(chain.from_iterable(clauses))
-    if used and (0 in used or max(used) > variable_count or min(used) < -variable_count):
-        # the ordered scan names the first offending literal
-        for lit in chain.from_iterable(clauses):
-            if lit == 0 or abs(lit) > variable_count:
-                raise CnfError(f"literal {lit} out of range")
+    clauses, used = Clauses(lits), memo.values()
+    if len(clauses) != clause_lines or used and (max(used) > variable_count
+                                                 or min(used) < -variable_count):
+        # the ordered scan names the first offending literal; every line
+        # parsed, so a clause line is one not led by a "c" or "p" token
+        for toks in map(str.split, text.splitlines()):
+            if toks and toks[0] not in ("c", "p"):
+                for lit in map(literal, toks[:-1]):
+                    if lit == 0 or abs(lit) > variable_count:
+                        raise CnfError(f"literal {lit} out of range")
     return CnfInstance(meta["equation"], n, r, encoding, variable_count, clauses)
 
 

@@ -1,6 +1,7 @@
 import random
 import time
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +250,45 @@ def test_dimacs_parse_round_trip(edges, encoding):
     text = write_dimacs(inst)
     assert text == reference_dimacs(inst)
     assert parse_dimacs(text) == inst
+
+
+def list_clauses(edges, r, encoding):
+    """The clauses of export_cnf as they were built before the flat store:
+    one list per clause."""
+    n = edges.n
+    smallest = min((e[0] for e in edges.edges), default=None)
+    clauses = []
+    if encoding == BINARY:
+        if smallest is not None:
+            clauses.append([-smallest])
+        for e in edges.edges:
+            clauses += [list(e), [-v for v in e]]
+        return clauses
+    neg = [[-((i - 1) * r + c) for i in range(n + 1)] for c in range(1, r + 1)]
+    if smallest is not None:
+        clauses.append([-neg[0][smallest]])
+    for i in range(1, n + 1):
+        clauses.append([-row[i] for row in neg])
+        clauses.extend([a[i], b[i]] for a, b in combinations(neg, 2))
+    for e in edges.edges:
+        for row in neg:
+            clauses.append([row[v] for v in e])
+    return clauses
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(edge_sets(), st.sampled_from([(2, BINARY), (2, DIRECT), (3, DIRECT)]))
+def test_clause_store_matches_clause_lists(edges, encoding):
+    r, encoding = encoding
+    inst = export_cnf(parse_equation("x+y=z"), edges, r, encoding)
+    lists = list_clauses(edges, r, encoding)
+    assert list(inst.clauses) == lists
+    assert inst.clauses == lists and lists == inst.clauses
+    assert inst.clauses != lists + [[1]] and lists + [[1]] != inst.clauses
+    assert len(inst.clauses) == inst.clause_count == inst.clauses.literals.count(0)
+    assert parse_dimacs(write_dimacs(inst)).clauses == inst.clauses
+    built = CnfInstance(inst.equation, inst.n, r, encoding, inst.variable_count, lists)
+    assert built == inst and built.clauses.literals == inst.clauses.literals
 
 
 def test_write_dimacs_matches_reference_on_exports():

@@ -788,13 +788,34 @@ def test_kept_masks_extend_as_dp_feasible_does(monkeypatch, text, r, backend, ca
 
 
 @pytest.mark.parametrize("backend", ["dp", "auto"])
-def test_dp_warm_step_makes_no_dp_feasible_call(monkeypatch, backend):
-    def refuse(*args):
-        raise AssertionError("dp_feasible called on an equation without distinct:")
+def test_dp_warm_step_rebuilds_kept_masks_only_when_stale(monkeypatch, backend):
+    # the warm step's masks are built at the first n on dp, after a cold
+    # search and past their 2n size, and kept at every other n
+    build, extend, builds, dp_steps = solver._kept_masks, solver._try_extend, [], []
 
-    monkeypatch.setattr(solver, "dp_feasible", refuse)
-    out = compute_rado(family_equation(8), 2, SearchParams(backend=backend))
+    def spied_build(eq, colors, r, bound):
+        builds.append((len(colors) + 1, bound))
+        return build(eq, colors, r, bound)
+
+    def spied_extend(colors, n, r, closing, kept):
+        if closing is None:
+            dp_steps.append(n)
+        return extend(colors, n, r, closing, kept)
+
+    monkeypatch.setattr(solver, "_kept_masks", spied_build)
+    monkeypatch.setattr(solver, "_try_extend", spied_extend)
+    params = SearchParams(backend=backend)
+    out = compute_rado(family_equation(8), 2, params)
     assert (out.kind, out.value) == (EXACT, 20)
+    assert dp_steps == list(range(1 if backend == "dp" else 7, 21))
+    cold = {b.n for b in out.bounds if not b.warm}
+    expected, size = [], 0
+    for n in dp_steps:
+        if n == dp_steps[0] or n - 1 in cold or n > size:
+            size = min(2 * n, params.n_cap)
+            expected.append((n, size))
+    assert builds == expected
+    assert len(builds) < len(dp_steps) // 2
 
 
 def test_dp_warm_step_keeps_the_overflow_guard(monkeypatch):
