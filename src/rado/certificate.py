@@ -16,13 +16,13 @@ the certificate is evidence for ("colorable" or "rado-exact N").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
 
 from .equations import EquationError, parse_equation
 from .solutions import (
     OverflowGuardError,
     SolutionCapError,
     SolutionTuple,
+    _constrained,
     _iter_reps,
     _plan,
     _to_solutions,
@@ -144,9 +144,9 @@ def verify(cert: Certificate) -> Verdict:
     try:
         color = chi.__getitem__
         lhs, rhs = _plan(eq)
-        keep = [not g.is_free for g in lhs + rhs]
+        values = _constrained(lhs, rhs)
         for rep in _iter_reps(eq, cert.n):
-            if len(set(map(color, chain(*compress(rep[0] + rep[1], keep))))) == 1:
+            if len(set(map(color, values(rep)))) == 1:
                 # the one SolutionTuple built: the violation reported
                 return Verdict(INVALID, violation=next(_to_solutions(lhs, rhs, [rep])))
     except (SolutionCapError, OverflowGuardError) as exc:

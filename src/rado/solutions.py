@@ -481,7 +481,9 @@ def _iter_side(groups, scan, cap, probe, budget):
 def _iter_reps(eq: Equation, n: int, closing: bool = False,
                deadline: float | None = None):
     """Yield every canonical solution representative within [1, n]; with
-    closing, only those whose largest constrained value is n.
+    closing, only those whose largest constrained value is n; on a
+    distinct: equation, only those whose constrained values are pairwise
+    distinct, filtered at the yield.
 
     A representative is a (lhs, rhs) pair of per-group value tuples.  Each
     pass materializes the side with fewer estimated assignments into a
@@ -492,6 +494,8 @@ def _iter_reps(eq: Equation, n: int, closing: bool = False,
     check_overflow(eq, n)
     lhs, rhs = _plan(eq)
     distinct = eq.distinct_required
+    if distinct:
+        values, width = _constrained(lhs, rhs), len(eq.constrained_variables)
     budget = _Budget(deadline)
     cap = _cap(lhs, rhs, n, eq.degree)
     for scan in _scans(lhs + rhs, n, eq.degree, closing, cap):
@@ -511,19 +515,12 @@ def _iter_reps(eq: Equation, n: int, closing: bool = False,
             count += 1
             if count > MATERIALIZE_CAP:
                 raise _too_dense()
-            # distinct: a side that repeats a value is in no solution
-            if distinct and _value_set(mat_groups, vals) is None:
-                continue
             table.setdefault(total, []).append(vals)
         for total, svals in _iter_side(stream_groups, scan, cap, table, budget):
-            matches = table[total]
-            if distinct:
-                used = _value_set(stream_groups, svals)
-                if used is None:
-                    continue
-                matches = [m for m in matches if used.isdisjoint(_value_set(mat_groups, m))]
-            for mvals in matches:
-                yield (mvals, svals) if mat_lhs else (svals, mvals)
+            for mvals in table[total]:
+                rep = (mvals, svals) if mat_lhs else (svals, mvals)
+                if not distinct or len(set(values(rep))) == width:
+                    yield rep
 
 
 def _count_reps(eq: Equation, n: int) -> int | None:
@@ -567,13 +564,6 @@ def _count_reps(eq: Equation, n: int) -> int | None:
     return sum(map(mul, *counts))
 
 
-def _value_set(groups, side_vals) -> set[int] | None:
-    """The constrained values of one side's assignment, None if one repeats."""
-    vals = [v for g, gv in zip(groups, side_vals) if not g.is_free for v in gv]
-    used = set(vals)
-    return used if len(used) == len(vals) else None
-
-
 def _too_dense() -> SolutionCapError:
     return SolutionCapError(
         f"equation too dense to enumerate: one side has more than "
@@ -581,21 +571,25 @@ def _too_dense() -> SolutionCapError:
     )
 
 
+def _constrained(lhs, rhs, free: bool = False):
+    """rep -> one iterable of a representative's constrained values, lhs
+    then rhs: its vertices (a free variable is no vertex).  With free, its
+    free values instead."""
+    keep = [g.is_free == free for g in lhs + rhs]
+    if all(keep):
+        return lambda rep: chain(*rep[0], *rep[1])
+    return lambda rep: chain(*compress(rep[0] + rep[1], keep))
+
+
 def _to_solutions(lhs, rhs, reps):
-    """One SolutionTuple per representative, the names read off the plan once."""
-    groups = lhs + rhs
-    names = [x for g in groups if not g.is_free for x in g.names]
-    free = [g.is_free for g in groups]
-    if not any(free):
-        for lv, rv in reps:
-            yield SolutionTuple(dict(zip(names, chain(*lv, *rv))), {})
-        return
-    keep = [not f for f in free]
-    free_names = [x for g in groups if g.is_free for x in g.names]
-    for lv, rv in reps:
-        vals = lv + rv
-        yield SolutionTuple(dict(zip(names, chain(*compress(vals, keep)))),
-                            dict(zip(free_names, chain(*compress(vals, free)))))
+    """One SolutionTuple per representative, the names read off the plan
+    once, laid out like a representative and split the same way."""
+    values, free_values = _constrained(lhs, rhs), _constrained(lhs, rhs, free=True)
+    plan_names = tuple(g.names for g in lhs), tuple(g.names for g in rhs)
+    names, free_names = list(values(plan_names)), list(free_values(plan_names))
+    for rep in reps:
+        yield SolutionTuple(dict(zip(names, values(rep))),
+                            dict(zip(free_names, free_values(rep))))
 
 
 def iter_canonical_solutions(eq: Equation, n: int):
@@ -640,22 +634,12 @@ def _n_perms(vals: tuple[int, ...]) -> int:
 
 def _distinct_perms(vals: tuple[int, ...]):
     """Distinct orderings of a multiset, lexicographically."""
-    counts = {v: vals.count(v) for v in sorted(set(vals))}
-    out: list[int] = []
-
-    def rec(remaining):
-        if remaining == 0:
-            yield tuple(out)
-            return
-        for x in counts:
-            if counts[x]:
-                counts[x] -= 1
-                out.append(x)
-                yield from rec(remaining - 1)
-                out.pop()
-                counts[x] += 1
-
-    yield from rec(len(vals))
+    if not vals:
+        yield ()
+    for x in sorted(set(vals)):
+        i = vals.index(x)
+        for tail in _distinct_perms(vals[:i] + vals[i + 1:]):
+            yield (x,) + tail
 
 
 def _expand(lhs, rhs, rep):
@@ -681,18 +665,14 @@ def build_hyperedges(
     Past rep_cap representatives the scan raises EnumerationBudgetExceeded,
     past a time.monotonic() deadline EnumerationTimeout.
     """
-    lhs, rhs = _plan(eq)
-    keep = [not g.is_free for g in lhs + rhs]
-    free = not all(keep)
+    values = _constrained(*_plan(eq))
     reps = _iter_reps(eq, n, closing, deadline)
     if rep_cap is not None:
         reps = islice(reps, rep_cap + 1)
     seen: set[tuple[int, ...]] = set()
     count = 0
-    for count, (lv, rv) in enumerate(reps, 1):
-        # a free variable is no vertex: only the constrained groups key an edge
-        used = set().union(*compress(lv + rv, keep)) if free else set().union(*lv, *rv)
-        seen.add(tuple(sorted(used)))
+    for count, rep in enumerate(reps, 1):
+        seen.add(tuple(sorted(set(values(rep)))))
     if rep_cap is not None and count > rep_cap:
         raise EnumerationBudgetExceeded()
     edges = sorted(seen)

@@ -3,6 +3,7 @@ import random
 from math import comb, isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rado import solutions, solver
 from rado.certificate import MALFORMED, Certificate, verify
@@ -391,6 +392,34 @@ def test_dp_feasible_distinct_matches_naive(text):
         cls = {pivot} | {v for v in range(1, pivot) if rng.random() < density}
         expected = any(max(vs) == pivot and vs <= cls for vs in value_sets)
         assert dp_feasible(eq, cls, pivot) == expected, (text, sorted(cls), pivot)
+
+
+@pytest.mark.parametrize("text, n", [
+    ("9x^2+16y^2=~n^2", 40),                    # a free variable
+    ("x^2+y^2=~a^2+2z^2", 30),                  # two coefficient groups on a side
+    ("x1^2+x2^2+x3^2+x4^2=y1^2+y2^2+y3^2", 14),  # 4 = 3 squares
+    ("x+y=z", 25),
+])
+@pytest.mark.parametrize("closing", [False, True])
+def test_distinct_filters_the_plain_representatives(text, n, closing):
+    # distinct: keeps the plain equation's representatives whose
+    # constrained values are pairwise distinct, in the same order
+    plain, distinct = parse_equation(text), parse_equation(text, distinct=True)
+    lhs, rhs = solutions._plan(plain)
+
+    def pairwise_distinct(rep):
+        vals = [v for g, gv in zip(lhs + rhs, rep[0] + rep[1]) if not g.is_free for v in gv]
+        return len(set(vals)) == len(vals) == len(plain.constrained_variables)
+
+    for m in range(1, n + 1):
+        kept = [rep for rep in solutions._iter_reps(plain, m, closing) if pairwise_distinct(rep)]
+        assert list(solutions._iter_reps(distinct, m, closing)) == kept, (text, m)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(1, 3), max_size=6).map(tuple))
+def test_distinct_perms_are_the_sorted_distinct_permutations(vals):
+    assert list(solutions._distinct_perms(vals)) == sorted(set(itertools.permutations(vals)))
 
 
 def test_canonical_iteration_collapses_permutations():

@@ -706,6 +706,13 @@ def test_each_switch_to_dp_logs_one_line(caplog, monkeypatch):
     assert out.backend == "dp"
     assert caplog.messages == ["n=31: 36,783 representatives × 7 slots > 31², dp"]
 
+    # Schur's x+y=z at n=300: 22,500 representatives × 3 slots stay below
+    # 300², so AUTO_EDGE_CAP alone decides, from the count
+    caplog.clear()
+    out = find_coloring(parse_equation("x+y=z"), 300, 3)
+    assert (out.verdict, out.backend) == (UNCOLORABLE, "dp")
+    assert caplog.messages == ["n=300: 22,500 representatives > AUTO_EDGE_CAP=20,000, dp"]
+
     # compute_rado switches once, from the representatives its closing
     # scans count, and stays on dp
     caplog.clear()
