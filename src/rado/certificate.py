@@ -145,8 +145,14 @@ def verify(cert: Certificate) -> Verdict:
         color = chi.__getitem__
         lhs, rhs = _plan(eq)
         values = _constrained(lhs, rhs)
+        # (side, group) of the first and of the last constrained group: a
+        # monochromatic representative colors their end vertices alike
+        ends = [(s, i) for s, side in enumerate((lhs, rhs))
+                for i, g in enumerate(side) if not g.is_free]
+        (s0, g0), (s1, g1) = ends[0], ends[-1]
         for rep in _iter_reps(eq, cert.n):
-            if len(set(map(color, values(rep)))) == 1:
+            if (chi[rep[s0][g0][0]] == chi[rep[s1][g1][-1]]
+                    and len(set(map(color, values(rep)))) == 1):
                 # the one SolutionTuple built: the violation reported
                 return Verdict(INVALID, violation=next(_to_solutions(lhs, rhs, [rep])))
     except (SolutionCapError, OverflowGuardError) as exc:

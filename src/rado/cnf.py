@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import getitem, itemgetter
 
 from .equations import Equation
 from .solutions import EdgeSet
@@ -122,7 +123,7 @@ def export_cnf(
     _check_encoding(r, encoding)
 
     n = edges.n
-    smallest = min((e[0] for e in edges.edges), default=None)
+    smallest = min(map(itemgetter(0), edges.edges), default=None)
     lits: list[int] = []
     add = lits.extend
 
@@ -145,11 +146,12 @@ def export_cnf(
             add([-row[i] for row in neg] + [0])
             for a, b in combinations(neg, 2):
                 add((a[i], b[i], 0))
-        colors = [row.__getitem__ for row in neg]
+        # rows[k]: each color's row k times, so one map over an edge
+        # closed by 0 (k literals), repeated r times, gives its r clauses
+        rows = _Memo(lambda k: [row for row in neg for _ in range(k)])
         for e in edges.edges:
             e += (0,)
-            for color in colors:
-                add(map(color, e))
+            add(map(getitem, rows[len(e)], e * r))
         variable_count = n * r
 
     return CnfInstance(eq.render(), n, r, encoding, variable_count, Clauses(lits))

@@ -57,6 +57,12 @@ def group_by_group_solutions(eq, n):
     ("x+y=~z+w", 14, 2),
     ("x^2+y^2=~a^2+2z^2", 30, 3),
     ("x1^2+x2^2+x3^2+x4^2=y1^2+y2^2+y3^2", 12, 3),
+    # verify compares a representative's first and last vertex first: a
+    # free group leads the lhs, a free group ends the rhs, and every
+    # vertex sits in one group
+    ("~a+2x+2y=3z", 12, 3),
+    ("x+y=z+2~a", 14, 2),
+    ("x^2+y^2=~a^2", 30, 2),
 ])
 def test_invalid_violation_is_the_first_monochromatic_solution(text, n, r):
     eq = parse_equation(text)

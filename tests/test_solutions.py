@@ -196,15 +196,46 @@ def test_closing_edges_concatenate_to_one_shot():
             assert concatenated == build_hyperedges(eq, n).edges, (eq.render(), n)
 
 
-@pytest.mark.parametrize("modulus", (5040, 12))
-def test_sieve_engaged_at_small_n(monkeypatch, modulus):
-    # the residue sieve's gate opens only near n=1500 for squares; force
-    # it open, with the real modulus and with one small enough that
-    # residue classes hold many values, and rerun both oracles
+@pytest.mark.parametrize("moduli", (solutions.SIEVE_MODULI, (4, 3)), ids=("real", "small"))
+def test_sieve_engaged_at_small_n(monkeypatch, moduli):
+    # the residue sieve's gate opens only from n=192 for squares; force
+    # it open, with the real moduli (bound below the largest of them) and
+    # with ones small enough that residue classes hold many values, and
+    # rerun both oracles
     monkeypatch.setattr("rado.solutions._residue_classes", lambda coef, degree: 0)
-    monkeypatch.setattr("rado.solutions.SIEVE_MODULUS", modulus)
+    monkeypatch.setattr("rado.solutions.SIEVE_MODULI", moduli)
     test_completeness_random_equations()
     test_closing_edges_concatenate_to_one_shot()
+
+
+def test_residue_sieve_hits_are_the_plain_probe_loop():
+    # hits(part, lo, hi) is the ascending v in [lo, hi) with part + pw[v]
+    # in probe, over random coefficients > 1 of degree 1 and 2, probes,
+    # parts and ranges, with bound below and above the largest modulus;
+    # without a sieve (None) no modulus can filter
+    rng = random.Random(25)
+    largest = max(solutions.SIEVE_MODULI)
+    checked = 0
+    for _ in range(400):
+        coef, degree = rng.randint(2, 30), rng.choice((1, 2))
+        bound = rng.choice((rng.randint(1, largest - 1), rng.randint(largest, 300)))
+        pw = [coef * v**degree for v in range(bound + 1)]
+        parts = [rng.randint(0, 2 * pw[bound]) for _ in range(12)]
+        # totals some values complete, and others anywhere
+        probe = dict.fromkeys(
+            [p + pw[rng.randint(1, bound)] for p in rng.sample(parts, 4)]
+            + [rng.randint(0, 3 * pw[bound]) for _ in range(rng.randint(0, 40))]
+        )
+        hits = solutions._residue_sieve(pw, coef, degree, bound, probe)
+        if hits is None:
+            assert all(len({t % q for t in probe}) == q for q in solutions.SIEVE_MODULI)
+            continue
+        for part in parts:
+            lo = rng.randint(1, bound + 1)
+            hi = rng.randint(lo, bound + 1)
+            assert hits(part, lo, hi) == [v for v in range(lo, hi) if part + pw[v] in probe]
+            checked += 1
+    assert checked > 4000
 
 
 def charged(monkeypatch):
@@ -414,6 +445,28 @@ def test_distinct_filters_the_plain_representatives(text, n, closing):
     for m in range(1, n + 1):
         kept = [rep for rep in solutions._iter_reps(plain, m, closing) if pairwise_distinct(rep)]
         assert list(solutions._iter_reps(distinct, m, closing)) == kept, (text, m)
+
+
+@pytest.mark.parametrize("text, n, closing, plain_charge, distinct_charge", [
+    ("x0+x1+x2+x3+x4=y0+y1+y2+y3+y4", 12, False, 8008, 2340),
+    ("x0+x1+x2+x3+x4=y0+y1+y2+y3+y4", 12, True, 14184, 4178),
+    ("x0+2x1+x2+x3=2y0+y1+y2+y3+~f", 8, False, 20070, 9398),
+])
+def test_distinct_scans_constrained_groups_strictly_increasing(
+        monkeypatch, text, n, closing, plain_charge, distinct_charge):
+    # a distinct: scan never enters a value repeated within a group: it
+    # yields the filtered plain representatives, in order, and charges
+    # fewer nodes
+    plain, distinct = parse_equation(text), parse_equation(text, distinct=True)
+    values = solutions._constrained(*solutions._plan(plain))
+    width = len(plain.constrained_variables)
+    total = charged(monkeypatch)
+    kept = [rep for rep in solutions._iter_reps(plain, n, closing)
+            if len(set(values(rep))) == width]
+    assert total[0] == plain_charge
+    total[0] = 0
+    assert list(solutions._iter_reps(distinct, n, closing)) == kept
+    assert total[0] == distinct_charge
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
