@@ -15,12 +15,25 @@ symmetry unit, per-vertex clauses ascending, per-edge clauses in edge-set
 order.
 
 Clauses are kept as one flat DIMACS literal list, each clause closed by
-0 (Clauses).  Literals are converted once per distinct value through a
-memo, both ways: write_dimacs joins its texts ("lit ", "0\n"), and
-parse_dimacs checks the range over its distinct values, so parsing holds
-the tokens seen, whatever the declared variable count.  A 0 inside a
-clause shows as more zeros than clause lines; only then, or past the
-range, does a second scan of the lines name the first offending literal.
+0 (Clauses), with its clause count carried rather than recounted.
+Literals are converted once per distinct value through a memo, both
+ways: write_dimacs joins its texts ("lit ", "0\n"), and parse_dimacs
+checks the range over its distinct values, so parsing holds the tokens
+seen, whatever the declared variable count.
+
+parse_dimacs reads the layout write_dimacs emits in bulk: after the
+header, which ends at the first problem line, the clause body is
+tokenized in chunks of about 64 KiB cut at line ends, one str.split and
+one map through the memo each, so neither a copy of the body nor all of
+its tokens are held at once.  A chunk is taken when it is ASCII, ends
+lines only with "\n", ends every line with the token 0 and holds as many
+zeros as lines.  Any other text (comments between clauses, CRLF, blank
+lines, faults) is read by an ordered line scan, the one place that names
+the first bad line.  A 0 inside a clause or a literal past the range,
+seen as more zeros than clause lines or over the memo's values, sends
+the text through that scan once more with the range bound, to name the
+first offending literal.
+
 parse_dimacs accepts only headers export_cnf can write: n >= 1, r >= 1,
 binary (r=2, n variables) or direct (n*r variables); else CnfError.
 """
@@ -39,6 +52,12 @@ TOOL_VERSION = "rado-solver 0.1.0"
 
 BINARY = "binary"
 DIRECT = "direct"
+
+# parse_dimacs tokenizes an exported clause body this many characters
+# (rounded up to a line end) at a time
+_CHUNK = 1 << 16
+# what str.splitlines, but not the export, ends an ASCII line with
+_OTHER_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
 
 
 class CnfError(ValueError):
@@ -63,9 +82,9 @@ class Clauses:
 
     __slots__ = ("literals", "count")
 
-    def __init__(self, literals: list[int]):
+    def __init__(self, literals: list[int], count: int | None = None):
         self.literals = literals
-        self.count = literals.count(0)
+        self.count = literals.count(0) if count is None else count
 
     def __len__(self) -> int:
         return self.count
@@ -134,7 +153,7 @@ def export_cnf(
             e += (0,)
             add(e)
             add([-v for v in e])
-        variable_count = n
+        variable_count, count = n, 2 * len(edges.edges)
     else:
         # neg[c][i] is the literal "vertex i does not have color c + 1",
         # and neg[c][0] is 0, so mapping an edge and 0 closes its clause
@@ -153,8 +172,10 @@ def export_cnf(
             e += (0,)
             add(map(getitem, rows[len(e)], e * r))
         variable_count = n * r
+        count = n * (1 + r * (r - 1) // 2) + r * len(edges.edges)
+    count += smallest is not None    # the symmetry unit
 
-    return CnfInstance(eq.render(), n, r, encoding, variable_count, Clauses(lits))
+    return CnfInstance(eq.render(), n, r, encoding, variable_count, Clauses(lits, count))
 
 
 def write_dimacs(inst: CnfInstance) -> str:
@@ -175,12 +196,77 @@ def write_dimacs(inst: CnfInstance) -> str:
 
 def parse_dimacs(text: str) -> CnfInstance:
     """Read back an exported instance, header metadata included."""
+    # a bulk read that gives up has converted tokens of clause lines only
+    memo = _Memo(int)
+    meta, variable_count, clause_count, clauses, clause_lines = (
+        _read_export_layout(text, memo) or _scan_lines(text, memo))
+    if variable_count is None:
+        raise CnfError("missing problem line")
+    if clause_count != clause_lines:
+        raise CnfError(f"problem line declares {clause_count} clauses, found {clause_lines}")
+    for key in ("equation", "n", "r", "encoding"):
+        if key not in meta:
+            raise CnfError(f"missing 'c {key}' header comment")
+    n, r, encoding = meta["n"], meta["r"], meta["encoding"]
+    if n < 1:
+        raise CnfError(f"n must be >= 1, got {n}")
+    _check_encoding(r, encoding)
+    expected = n if encoding == BINARY else n * r
+    if variable_count != expected:
+        raise CnfError(f"problem line declares {variable_count} variables, "
+                       f"{encoding} encoding of n={n}, r={r} has {expected}")
+    used = memo.values()
+    if len(clauses) != clause_lines or used and (max(used) > variable_count
+                                                 or min(used) < -variable_count):
+        _scan_lines(text, memo, variable_count)
+    return CnfInstance(meta["equation"], n, r, encoding, variable_count, clauses)
+
+
+def _read_export_layout(text: str, memo: _Memo):
+    """What _scan_lines returns, for the layout write_dimacs emits: lines up
+    to the first problem line, then clause lines alone, each closed by the
+    token 0 and a newline.  The clause body is tokenized in _CHUNK-sized
+    pieces cut at line ends; None as soon as a piece may read otherwise."""
+    if not text.endswith("\n"):
+        return None
+    head = 0 if text.startswith("p ") else text.find("\np ") + 1
+    body = text.find("\n", head) + 1
+    meta, variable_count, clause_count, _, clause_lines = _scan_lines(text[:body], memo)
+    if clause_lines:
+        return None
+    lits: list[int] = []
+    literal = memo.__getitem__
+    while body < len(text):
+        end = text.find("\n", body + _CHUNK) + 1 or len(text)
+        chunk = text[body:end]
+        lines = chunk.count("\n")
+        # one token per line is 0, the last: then str.split and
+        # str.splitlines cut the same tokens into the same lines
+        if (not chunk.isascii() or any(map(chunk.__contains__, _OTHER_BREAKS))
+                or text.count(" 0\n", body, end) + text.count("\n0\n", body - 1, end) != lines):
+            return None
+        try:
+            values = list(map(literal, chunk.split()))
+        except ValueError:
+            return None
+        if values.count(0) != lines:
+            return None
+        lits += values
+        clause_lines += lines
+        body = end
+    return meta, variable_count, clause_count, Clauses(lits, clause_lines), clause_lines
+
+
+def _scan_lines(text: str, memo: _Memo, bound: int | None = None):
+    """(meta, variable count, clause count, clauses, clause lines) of text
+    in any layout, read line by line, raising CnfError at the first bad
+    line.  With bound, also at the first literal that is 0 before its
+    clause's end or outside [-bound, bound]."""
     meta: dict[str, str | int] = {}
     variable_count = None
     clause_count = None
     lits: list[int] = []
     clause_lines = 0
-    memo = _Memo(int)
     literal = memo.__getitem__
     for lineno, line in enumerate(text.splitlines(), 1):
         # only such a line can be blank, a comment or the problem line
@@ -203,6 +289,7 @@ def parse_dimacs(text: str) -> CnfInstance:
                 variable_count = _header_int(fields[2], lineno, line)
                 clause_count = _header_int(fields[3], lineno, line)
                 continue
+        start = len(lits)
         try:
             lits += map(literal, line.split())
         except ValueError:
@@ -210,32 +297,11 @@ def parse_dimacs(text: str) -> CnfInstance:
         if lits[-1] != 0:
             raise CnfError(f"line {lineno}: clause must end with 0")
         clause_lines += 1
-    if variable_count is None:
-        raise CnfError("missing problem line")
-    if clause_count != clause_lines:
-        raise CnfError(f"problem line declares {clause_count} clauses, found {clause_lines}")
-    for key in ("equation", "n", "r", "encoding"):
-        if key not in meta:
-            raise CnfError(f"missing 'c {key}' header comment")
-    n, r, encoding = meta["n"], meta["r"], meta["encoding"]
-    if n < 1:
-        raise CnfError(f"n must be >= 1, got {n}")
-    _check_encoding(r, encoding)
-    expected = n if encoding == BINARY else n * r
-    if variable_count != expected:
-        raise CnfError(f"problem line declares {variable_count} variables, "
-                       f"{encoding} encoding of n={n}, r={r} has {expected}")
-    clauses, used = Clauses(lits), memo.values()
-    if len(clauses) != clause_lines or used and (max(used) > variable_count
-                                                 or min(used) < -variable_count):
-        # the ordered scan names the first offending literal; every line
-        # parsed, so a clause line is one not led by a "c" or "p" token
-        for toks in map(str.split, text.splitlines()):
-            if toks and toks[0] not in ("c", "p"):
-                for lit in map(literal, toks[:-1]):
-                    if lit == 0 or abs(lit) > variable_count:
-                        raise CnfError(f"literal {lit} out of range")
-    return CnfInstance(meta["equation"], n, r, encoding, variable_count, clauses)
+        if bound is not None:
+            for lit in lits[start:-1]:
+                if lit == 0 or abs(lit) > bound:
+                    raise CnfError(f"literal {lit} out of range")
+    return meta, variable_count, clause_count, Clauses(lits), clause_lines
 
 
 def _check_encoding(r: int, encoding: str) -> None:

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations
 
@@ -400,7 +401,10 @@ def exported_text(text, n, r, encoding):
 
 HEADER_LINES = 7
 EDITS = ("plus", "zeros", "tab", "crlf", "indent", "comment", "stray c", "inner zero",
-         "out of range", "non-integer", "no final zero", "blank")
+         "out of range", "non-integer", "no final zero", "blank",
+         # what the bulk read of the export layout must leave to the line scan
+         "\x0b", "\x0c", "\x1c", "\u2028", "no final newline", "-0", "+0", "empty clause",
+         "10")
 
 
 def edit_dimacs(text, edits, line_end):
@@ -409,10 +413,14 @@ def edit_dimacs(text, edits, line_end):
     stays consistent."""
     lines = text.split("\n")[:-1]
     variable_count = int(lines[HEADER_LINES - 1].split()[2])
+    final_newline = "\n"
     for kind, at, k in edits:
+        if kind == "no final newline":
+            final_newline = ""
+            continue
         i = HEADER_LINES + at % (len(lines) - HEADER_LINES + 1)
         inserted = {"comment": "c a comment between clauses", "stray c": "c",
-                    "blank": " \t"}.get(kind)
+                    "blank": " \t", "empty clause": "0"}.get(kind)
         if inserted is not None or i == len(lines):
             lines.insert(i, inserted if inserted is not None else "1 0")
             continue
@@ -430,6 +438,10 @@ def edit_dimacs(text, edits, line_end):
             toks[j] = ("x", "1.5", "--1", "1e3")[k % 4]
         elif kind == "no final zero" and toks[-1] == "0":
             toks.pop()
+        elif kind in ("-0", "+0", "10") and toks[-1] == "0":
+            toks[-1] = kind
+        elif len(kind) == 1:
+            toks[j] = kind + toks[j]
         line = " ".join(toks)
         if kind == "tab":
             line = line.replace(" ", "\t", 1 + k % 2)
@@ -439,7 +451,7 @@ def edit_dimacs(text, edits, line_end):
             line = ("  ", "\t", " \t ")[k % 3] + line
         lines[i] = line
     lines[HEADER_LINES:] = [line + line_end for line in lines[HEADER_LINES:]]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + final_newline
 
 
 def parse_outcome(parse, text):
@@ -467,6 +479,38 @@ def test_parse_dimacs_matches_per_token_parser(text, n, encoding, edits, line_en
     r, encoding = encoding
     edited = edit_dimacs(exported_text(text, n, r, encoding), edits, line_end)
     assert parse_outcome(parse_dimacs, edited) == parse_outcome(per_token_parse_dimacs, edited)
+
+
+ZERO_CLAUSE_TEXT = exported_text("x^2+y^2=z^2", 4, 2, BINARY)
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("p cnf 2 1\n1 0\n", "missing 'c equation' header comment"),
+    ("p cnf 2 1\n1 0", "missing 'c equation' header comment"),
+    ("p cnf 2 1\n1 2 0\n-0 0\n", "problem line declares 1 clauses, found 2"),
+    (ZERO_CLAUSE_TEXT, ("x^2+y^2=z^2", 4, 2, BINARY, 4, [])),
+    (ZERO_CLAUSE_TEXT[:-1], ("x^2+y^2=z^2", 4, 2, BINARY, 4, [])),
+], ids=["problem-line-first", "problem-line-first-no-newline", "problem-line-first-count",
+        "zero-clauses", "zero-clauses-no-newline"])
+def test_parse_dimacs_edge_layouts(text, expected):
+    assert ZERO_CLAUSE_TEXT.endswith("\np cnf 4 0\n")
+    outcome = parse_outcome(parse_dimacs, text)
+    assert outcome == parse_outcome(per_token_parse_dimacs, text)
+    assert outcome[1] == expected
+
+
+def test_parse_dimacs_peak_memory_below_twice_the_text():
+    # the direct encoding of 4 = 3 squares on [1, 22], r=3: 1.50 MB of text
+    text = exported_text("x1^2+x2^2+x3^2+x4^2=y1^2+y2^2+y3^2", 22, 3, DIRECT)
+    assert 1_400_000 < len(text) < 1_600_000
+    tracemalloc.start()
+    try:
+        inst = parse_dimacs(text)
+        returned, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(inst.clauses) == 59_372
+    assert peak - returned < 2 * len(text)
 
 
 def test_parse_dimacs_names_first_out_of_range_literal():
