@@ -19,8 +19,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from itertools import repeat
 
 from .certificate import (
     INVALID,
@@ -353,14 +351,9 @@ def cmd_table(args) -> int:
     if args.jobs < 1:
         print("error: need --jobs >= 1", file=sys.stderr)
         return 2
-    rows_args = (range(args.min_k, args.max_k + 1), repeat(args.r),
-                 repeat(args.cap), repeat(args.timeout_per_k))
-    jobs = min(args.jobs, args.max_k - args.min_k + 1)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_table_row, *rows_args))
-    else:
-        rows = list(map(_table_row, *rows_args))
+    # the rows run one after another in this process; --jobs has no effect
+    rows = [_table_row(k, args.r, args.cap, args.timeout_per_k)
+            for k in range(args.min_k, args.max_k + 1)]
     if args.json:
         print(json.dumps({
             "command": "table",

@@ -111,9 +111,6 @@ class SolutionTuple:
     values: dict[str, int]
     free_values: dict[str, int]
 
-    def constrained(self) -> tuple[int, ...]:
-        return tuple(self.values.values())
-
     def render(self, eq: Equation) -> str:
         """Substitute values into the equation, e.g. '1+1=2' or '3^2+4^2=5^2'."""
         def side(terms):
@@ -558,7 +555,7 @@ def _count_reps(eq: Equation, n: int) -> int | None:
     """How many representatives _iter_reps(eq, n) yields, or None (not
     counted) for a distinct: equation or past COUNT_TABLE_CAP.
 
-    Each group is counted in the one-group layout of _dp_sides, with a
+    Each group is counted like a one-group side of _dp_sides, with a
     width-bit field per total in place of one bit: row[i] holds, at each
     total up to cap, how many non-decreasing values fill i slots to it,
     and a value joins by + and a shift of weight x width.  A side's
@@ -744,54 +741,57 @@ def dp_feasible(eq: Equation, class_values, pivot: int) -> bool:
         cls = set(values)
         return any(cls.issuperset(e) for e in build_hyperedges(eq, pivot, closing=True).edges)
 
-    (lm, lgroups), (rm, rgroups), capmask = _dp_sides(eq, pivot)
+    masks, groups, sides, capmask = _dp_sides(eq, pivot)
     for v in values:
-        lm = _grow(lm, lgroups, v, capmask)
-        rm = _grow(rm, rgroups, v, capmask)
+        masks = _grow(masks, groups, v, capmask)
     # pivot in one slot of some group, every other slot from the class
     return any(
-        (other[-1] >> weight[pivot]) & masks[-1 - stride]
-        for masks, groups, other in ((lm, lgroups, rm), (rm, rgroups, lm))
-        for weight, stride, _ in groups
+        (masks[other] >> weight[pivot]) & masks[full - stride]
+        for (full, side), (other, _) in zip(sides, sides[::-1])
+        for weight, stride, _ in side
     )
 
 
 def _dp_sides(eq: Equation, n: int):
-    """Each side's dp masks for values in [1, n], as (initial masks,
-    groups), and the capmask that drops totals no solution can have.
+    """The dp masks for values in [1, n], both sides in one list, lhs
+    first: (masks, groups, sides, capmask), capmask dropping totals no
+    solution can have.
 
-    Masks are indexed in mixed radix by how many slots of each constrained
-    group are filled, so masks[-1] is the full side; bit t is set iff
-    those slots can total t, and the free slots' sums seed masks[0].  A
-    group is (weight, stride, indices): weight[v] is its term at value v,
-    and indices are those with one of its slots filled.  A side that needs
-    more than DP_MASK_CAP masks raises OverflowGuardError first."""
+    A side's masks are indexed in mixed radix by how many slots of each
+    constrained group are filled, so its last is the full side; bit t is
+    set iff those slots can total t, and the free slots' sums seed its
+    first.  A group is (weight, stride, indices): weight[v] is its term
+    at value v, and indices, into masks, are those with one of its slots
+    filled.  groups holds every group, lhs first; sides holds (full
+    index, groups) per side, so masks[-1] is the full rhs.  A side that
+    needs more than DP_MASK_CAP masks raises OverflowGuardError first."""
     plan, degree = _plan(eq), eq.degree
     cap = _cap(*plan, n, degree)
     capmask = (1 << (cap + 1)) - 1
-    sides = []
+    masks, sides = [], []
     for side in plan:
         count = prod(g.size + 1 for g in side if not g.is_free)
         if count > DP_MASK_CAP:
             raise OverflowGuardError(f"a side of {eq.render()!r} needs {count} dp masks, "
                                      f"past DP_MASK_CAP={DP_MASK_CAP}")
-        masks, groups, stride = [1] + [0] * (count - 1), [], 1
+        base, groups, stride = len(masks), [], 1
+        masks += [1] + [0] * (count - 1)
         for g in side:
             if g.is_free:           # a free slot takes any value whose term fits in cap
                 top = _floor_root(cap // g.coefficient, degree)
                 for _ in range(g.size):
-                    masks[0] = reduce(or_, (masks[0] << g.coefficient * v**degree
-                                            for v in range(1, top + 1)), 0) & capmask
+                    masks[base] = reduce(or_, (masks[base] << g.coefficient * v**degree
+                                               for v in range(1, top + 1)), 0) & capmask
             else:
                 groups.append(([g.coefficient * v**degree for v in range(n + 1)], stride,
-                               [i for i in range(count) if i // stride % (g.size + 1)]))
+                               [base + i for i in range(count) if i // stride % (g.size + 1)]))
                 stride *= g.size + 1
-        sides.append((masks, groups))
-    return sides[0], sides[1], capmask
+        sides.append((len(masks) - 1, groups))
+    return masks, sides[0][1] + sides[1][1], sides, capmask
 
 
 def _grow(masks, groups, v: int, capmask: int) -> list[int]:
-    """The masks of a side once value v joins the class: per group, in
+    """The masks of both sides once value v joins the class: per group, in
     ascending index order, so that v may fill several of its slots."""
     new = masks[:]
     for weight, stride, indices in groups:

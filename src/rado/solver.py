@@ -29,12 +29,13 @@ unassign (reverse assign's own counters).
 * dp: decides at the lowest uncolored vertex.  It rejects a color the
   moment its class holds a solution, decided by power-sum masks grown
   with the class, one per count of filled slots of each coefficient group
-  (_dp_sides).  It also forward-checks: after a vertex joins class c, c is
-  struck from each uncolored vertex above the decision that would close a
-  solution with itself in one slot of a side's first group and the rest
-  of the class, and a wiped-out domain rejects the placement.  Its masks
-  cannot keep values distinct, so a distinct: equation runs on edge only,
-  and backend dp refuses it.
+  of a side: one list per class, the lhs masks then the rhs masks
+  (_dp_sides), both grown by one _grow call.  It also forward-checks:
+  after a vertex joins class c, c is struck from each uncolored vertex
+  above the decision that would close a solution with itself in one slot
+  of a side's first group and the rest of the class, and a wiped-out
+  domain rejects the placement.  Its masks cannot keep values distinct,
+  so a distinct: equation runs on edge only, and backend dp refuses it.
 
 The backend rule counts solution representatives (_iter_reps), not
 edges.  auto takes dp once representatives x slots (constrained
@@ -49,11 +50,11 @@ count, count representatives as they enumerate them, against the same
 bounds.  Each switch to dp is logged at info on the "rado" logger.
 
 compute_rado's warm step extends the last witness to a new n before any
-search.  On dp it keeps each color class's masks from one n to the next,
-sized for values up to 2n (at most n_cap) since their capmask grows with
-n, and grows n into one class after another, the test assign makes.  It
-rebuilds them from the witness once n passes that size, when auto
-switches to dp, and after a cold search, during which none are kept.
+search.  On dp it keeps each color class's mask list from one n to the
+next, sized for values up to 2n (at most n_cap) since their capmask
+grows with n, and grows n into one class after another, the test assign
+makes.  It rebuilds them from the witness once n passes that size, when
+auto switches to dp, and after a cold search, during which none are kept.
 """
 
 from __future__ import annotations
@@ -471,16 +472,17 @@ def _edge_checks(n, r, edges, color, domain):
 
 def _dp_checks(eq, n, r, color, domain):
     """The dp backend's candidates, assign and unassign for an equation
-    without the distinct: marker: the power-sum masks of _dp_sides per
-    class, grown as the class grows, and forward checking."""
-    (lm, lgroups), (rm, rgroups), capmask = _dp_sides(eq, n)
+    without the distinct: marker: one list of _dp_sides' masks per class,
+    both sides grown at once as the class grows, and forward checking."""
+    masks, groups, ((lf, lgroups), (_, rgroups)), capmask = _dp_sides(eq, n)
     # forward checking puts a later vertex in one slot of each side's
-    # first constrained group; a side without one strikes nothing
+    # first constrained group; a side without one reads its full mask at
+    # weight 0, and a & b, already 0, strikes nothing
     (wl, sl, _), (wr, sr, _) = (g[0] if g else ([0] * (n + 1), 0, None)
                                 for g in (lgroups, rgroups))
 
-    # per color: stack of (lhs masks, rhs masks)
-    stacks: list[list] = [[(lm, rm)] for _ in range(r + 1)]
+    # per color: a stack of the class's masks
+    stacks: list[list] = [[masks] for _ in range(r + 1)]
 
     def assign(u, c, log, forced):
         """Grow class c by u and push its masks; reject if the class now
@@ -489,11 +491,9 @@ def _dp_checks(eq, n, r, color, domain):
         would close a solution using its own value once and the rest of
         class c (those up to it are colored), sound while a class only grows
         until backtrack; reject if a domain is wiped out."""
-        la, ra = stacks[c][-1]
-        la, ra = _grow(la, lgroups, u, capmask), _grow(ra, rgroups, u, capmask)
-        stacks[c].append((la, ra))
-        a, a1 = la[-1], la[-1 - sl] if sl else 0
-        b, b1 = ra[-1], ra[-1 - sr] if sr else 0
+        m = _grow(stacks[c][-1], groups, u, capmask)
+        stacks[c].append(m)
+        a, a1, b, b1 = m[lf], m[lf - sl], m[-1], m[-1 - sr]
         if a & b:
             return False
         bit = 1 << (c - 1)
@@ -600,8 +600,9 @@ def _try_extend(colors, n, r, closing, kept):
 
     closing holds the edges whose largest value is n, or None on the dp
     backend.  There kept is _kept_masks' state for colors, and a color
-    extends when growing n into its class's masks closes no solution (the
-    class held none); the extending color's masks keep n."""
+    extends when growing n into its class's masks, both sides in one
+    _grow, closes no solution (the class held none); the extending
+    color's masks keep n."""
     if closing is not None:
         for c in range(1, r + 1):
             ok = True
@@ -617,28 +618,26 @@ def _try_extend(colors, n, r, closing, kept):
             if ok:
                 return c
         return None
-    _, lgroups, rgroups, capmask, masks = kept
+    _, groups, lf, capmask, masks = kept
     for c in range(1, r + 1):
-        la, ra = masks[c]
-        la, ra = _grow(la, lgroups, n, capmask), _grow(ra, rgroups, n, capmask)
-        if not la[-1] & ra[-1]:
-            masks[c] = la, ra
+        m = _grow(masks[c], groups, n, capmask)
+        if not m[lf] & m[-1]:
+            masks[c] = m
             return c
     return None
 
 
 def _kept_masks(eq, colors, r, bound):
-    """(bound, lhs groups, rhs groups, capmask, masks): masks[c] holds
-    the lhs and rhs masks of _dp_sides(eq, bound) grown by the values of
-    color c in colors, for values up to bound since capmask grows with n.
+    """(bound, groups, lhs full index, capmask, masks): masks[c] is the
+    one list of _dp_sides(eq, bound) grown by the values of color c in
+    colors, for values up to bound since capmask grows with n.
     DP_MASK_CAP does not depend on bound, and the caller checks the
     overflow guard at n, so neither refuses at an earlier n."""
-    (lm, lgroups), (rm, rgroups), capmask = _dp_sides(eq, bound)
-    masks = [(lm, rm)] * (r + 1)
+    m, groups, ((lf, _), _), capmask = _dp_sides(eq, bound)
+    masks = [m] * (r + 1)
     for v, c in enumerate(colors, 1):
-        la, ra = masks[c]
-        masks[c] = _grow(la, lgroups, v, capmask), _grow(ra, rgroups, v, capmask)
-    return bound, lgroups, rgroups, capmask, masks
+        masks[c] = _grow(masks[c], groups, v, capmask)
+    return bound, groups, lf, capmask, masks
 
 
 def oracle_colorable(eq: Equation, n: int, r: int) -> bool:

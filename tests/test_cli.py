@@ -309,37 +309,6 @@ def test_table_human_body_identical_across_jobs(capsys):
     assert body(out1) == body(out2)
 
 
-@pytest.mark.parametrize("max_k, jobs, pools", [
-    ("5", "8", [2]),        # two rows: two workers
-    ("4", "3", []),         # one row: run serially
-])
-def test_table_forks_no_more_workers_than_rows(capsys, monkeypatch, max_k, jobs, pools):
-    made = []
-
-    class SerialPool:
-        """Stands in for ProcessPoolExecutor: records max_workers and maps
-        serially, so no process is started."""
-
-        def __init__(self, max_workers):
-            made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr("rado.cli.ProcessPoolExecutor", SerialPool)
-    code, out, _ = run(capsys, "table", "--min-k", "4", "--max-k", max_k, "-r", "2",
-                       "--cap", "10", "--jobs", jobs, "--json")
-    assert code == 0
-    assert made == pools
-    assert [row["k"] for row in json.loads(out)["rows"]] == list(range(4, int(max_k) + 1))
-
-
 def test_table_bad_range(capsys):
     code, _, err = run(capsys, "table", "--min-k", "5", "--max-k", "3", "-r", "2")
     assert code == 2

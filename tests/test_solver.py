@@ -836,6 +836,21 @@ def test_dp_warm_step_keeps_the_overflow_guard(monkeypatch):
     assert (out.kind, out.value) == (LOWER_BOUND, 20)
 
 
+@pytest.mark.parametrize("text", ["x^2+y^2+2z^2=w^2", "2x^2+2y^2=z^2+w^2+~a^2"])
+def test_kept_masks_grow_both_sides_in_one_call(monkeypatch, text):
+    # a class's lhs and rhs masks are one list: one _grow call per value
+    grow, grown = solver._grow, []
+
+    def counted(masks, groups, v, capmask):
+        grown.append(v)
+        return grow(masks, groups, v, capmask)
+
+    monkeypatch.setattr(solver, "_grow", counted)
+    colors = [1, 2, 2, 1, 3, 1, 2, 3]
+    solver._kept_masks(parse_equation(text), colors, 3, 16)
+    assert grown == list(range(1, len(colors) + 1))
+
+
 @pytest.mark.parametrize("text, n", [("x^2+y^2+z^2=w^2", 105), ("x^2+y^2=z^2", 4000)])
 def test_auto_keeps_edge_for_sparse_squares(text, n):
     # Theorem 1's refutation and the Pythagorean run stay far below n^2
