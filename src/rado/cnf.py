@@ -25,14 +25,15 @@ parse_dimacs reads the layout write_dimacs emits in bulk: after the
 header, which ends at the first problem line, the clause body is
 tokenized in chunks of about 64 KiB cut at line ends, one str.split and
 one map through the memo each, so neither a copy of the body nor all of
-its tokens are held at once.  A chunk is taken when it is ASCII, ends
-lines only with "\n", ends every line with the token 0 and holds as many
-zeros as lines.  Any other text (comments between clauses, CRLF, blank
-lines, faults) is read by an ordered line scan, the one place that names
-the first bad line.  A 0 inside a clause or a literal past the range,
-seen as more zeros than clause lines or over the memo's values, sends
-the text through that scan once more with the range bound, to name the
-first offending literal.
+its tokens are held at once.  A chunk is taken when it is ASCII, cuts
+tokens only at " " and "\n", ends every line with the token 0 and holds
+no other token "0" (substring tests); the body is taken when no memo key
+but "0" is worth 0 ("-0", "00").  Any other text (comments between
+clauses, CRLF, blank lines, faults) is read by an ordered line scan, the
+one place that names the first bad line.  A 0 inside a clause or a
+literal past the range, seen as more zeros than clause lines or over the
+memo's values, sends the text through that scan once more with the range
+bound, to name the first offending literal.
 
 parse_dimacs accepts only headers export_cnf can write: n >= 1, r >= 1,
 binary (r=2, n variables) or direct (n*r variables); else CnfError.
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from operator import getitem, itemgetter
+from operator import countOf, getitem, itemgetter
 
 from .equations import Equation
 from .solutions import EdgeSet
@@ -56,8 +57,8 @@ DIRECT = "direct"
 # parse_dimacs tokenizes an exported clause body this many characters
 # (rounded up to a line end) at a time
 _CHUNK = 1 << 16
-# what str.splitlines, but not the export, ends an ASCII line with
-_OTHER_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+# what str.splitlines or str.split, but not the export, cuts ASCII text at
+_OTHER_SEPARATORS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\t", "\x1f")
 
 
 class CnfError(ValueError):
@@ -226,7 +227,8 @@ def _read_export_layout(text: str, memo: _Memo):
     """What _scan_lines returns, for the layout write_dimacs emits: lines up
     to the first problem line, then clause lines alone, each closed by the
     token 0 and a newline.  The clause body is tokenized in _CHUNK-sized
-    pieces cut at line ends; None as soon as a piece may read otherwise."""
+    pieces cut at line ends; None as soon as a piece may read otherwise,
+    or at the end if a token other than "0" was worth 0."""
     if not text.endswith("\n"):
         return None
     head = 0 if text.startswith("p ") else text.find("\np ") + 1
@@ -240,20 +242,22 @@ def _read_export_layout(text: str, memo: _Memo):
         end = text.find("\n", body + _CHUNK) + 1 or len(text)
         chunk = text[body:end]
         lines = chunk.count("\n")
-        # one token per line is 0, the last: then str.split and
-        # str.splitlines cut the same tokens into the same lines
-        if (not chunk.isascii() or any(map(chunk.__contains__, _OTHER_BREAKS))
-                or text.count(" 0\n", body, end) + text.count("\n0\n", body - 1, end) != lines):
+        # the separators are " " and "\n" alone, and each line's last
+        # token, and no other, is "0": then str.split and str.splitlines
+        # cut the same tokens into the same lines
+        if (not chunk.isascii() or any(map(chunk.__contains__, _OTHER_SEPARATORS))
+                or text.count(" 0\n", body, end) + text.count("\n0\n", body - 1, end) != lines
+                or " 0 " in chunk or "\n0 " in chunk or chunk.startswith("0 ")):
             return None
         try:
-            values = list(map(literal, chunk.split()))
+            lits += map(literal, chunk.split())
         except ValueError:
             return None
-        if values.count(0) != lines:
-            return None
-        lits += values
         clause_lines += lines
         body = end
+    # and no token but "0" is worth 0, such as "-0", "00" or "0_0"
+    if countOf(memo.values(), 0) > 1:
+        return None
     return meta, variable_count, clause_count, Clauses(lits, clause_lines), clause_lines
 
 

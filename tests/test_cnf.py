@@ -3,11 +3,13 @@ import time
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rado import cnf
 from rado.cnf import (
     BINARY,
     DIRECT,
@@ -404,7 +406,7 @@ EDITS = ("plus", "zeros", "tab", "crlf", "indent", "comment", "stray c", "inner 
          "out of range", "non-integer", "no final zero", "blank",
          # what the bulk read of the export layout must leave to the line scan
          "\x0b", "\x0c", "\x1c", "\u2028", "no final newline", "-0", "+0", "empty clause",
-         "10")
+         "10", "inner -0", "0_0", "\t", "\x1f", "leading zero")
 
 
 def edit_dimacs(text, edits, line_end):
@@ -430,8 +432,10 @@ def edit_dimacs(text, edits, line_end):
             toks[j] = "+" + toks[j]
         elif kind == "zeros":
             toks[j] = toks[j].replace("-", "-00") if toks[j].startswith("-") else "00" + toks[j]
-        elif kind == "inner zero":
-            toks.insert(j, "0")
+        elif kind in ("inner zero", "inner -0", "0_0"):
+            toks.insert(j, {"inner zero": "0", "inner -0": "-0"}.get(kind, kind))
+        elif kind == "leading zero":
+            toks.insert(0, "0")
         elif kind == "out of range":
             toks[j] = str((variable_count + 1 + k % 3) * (-1) ** k)
         elif kind == "non-integer":
@@ -474,11 +478,32 @@ def parse_outcome(parse, text):
     st.lists(st.tuples(st.sampled_from(EDITS), st.integers(0, 3) | st.integers(0, 10**6),
                        st.integers(0, 40)), max_size=4),
     st.sampled_from(["", " ", "\t", "\r", " \t "]),
+    # a small chunk starts a bulk-read piece at (nearly) every line
+    st.sampled_from([1, 20, cnf._CHUNK]),
 )
-def test_parse_dimacs_matches_per_token_parser(text, n, encoding, edits, line_end):
+def test_parse_dimacs_matches_per_token_parser(text, n, encoding, edits, line_end, chunk):
     r, encoding = encoding
     edited = edit_dimacs(exported_text(text, n, r, encoding), edits, line_end)
-    assert parse_outcome(parse_dimacs, edited) == parse_outcome(per_token_parse_dimacs, edited)
+    with mock.patch.object(cnf, "_CHUNK", chunk):
+        outcome = parse_outcome(parse_dimacs, edited)
+    assert outcome == parse_outcome(per_token_parse_dimacs, edited)
+
+
+@pytest.mark.parametrize("chunk", [1, 20, cnf._CHUNK])
+@pytest.mark.parametrize("edits", [
+    [("inner zero", 1)], [("leading zero", 0)], [("inner -0", 1)], [("0_0", 1)],
+    [("inner zero", 1), ("\t", 1)], [("inner zero", 1), ("\x1f", 1)],
+], ids=["0", "line-start-0", "-0", "0_0", "tab-0", "x1f-0"])
+def test_parse_dimacs_bulk_read_leaves_inner_zeros_to_the_line_scan(edits, chunk):
+    # a token worth 0 inside a clause, on each clause line in turn, so at
+    # chunk starts and inside chunks alike
+    text = exported_text("a+b+c=d", 8, 2, BINARY)
+    with mock.patch.object(cnf, "_CHUNK", chunk):
+        for at in range(text.count("\n") - HEADER_LINES):
+            edited = edit_dimacs(text, [(kind, at, k) for kind, k in edits], "")
+            assert (parse_outcome(parse_dimacs, edited)
+                    == parse_outcome(per_token_parse_dimacs, edited)
+                    == ("error", "literal 0 out of range")), (at, edited)
 
 
 ZERO_CLAUSE_TEXT = exported_text("x^2+y^2=z^2", 4, 2, BINARY)

@@ -186,6 +186,8 @@ def test_closing_edges_concatenate_to_one_shot():
         (parse_equation("3x^2+y^2=z^2+2w^2"), 20),
         (parse_equation("9x^2+16y^2=~n^2"), 30),
         (parse_equation("9x^2+16y^2=~n^2", distinct=True), 30),
+        (parse_equation("2x^2+2y^2+2z^2=w^2"), 30),
+        (parse_equation("x^2+y^2+z^2=w^2", distinct=True), 30),
     ]
     for eq, top in cases:
         closing = [build_hyperedges(eq, m, closing=True).edges for m in range(1, top + 1)]
@@ -274,6 +276,73 @@ def test_reach_table_shifted_past_a_pinned_slot():
     for text, top in (("a+b+c=5d", 25), ("x^2+y^2+z^2+u^2=2w^2", 16)):
         eq = parse_equation(text)
         assert closing_prefix(eq, top) == build_hyperedges(eq, top).edges, text
+
+
+def plain_pair_walk(pw, coef, degree, remaining, lo, bound):
+    """_solve_pair without its residue check: the pairs it finds and the
+    nodes it charges."""
+    if lo > bound or remaining <= pw[lo]:
+        return [], 0
+    v, most = lo, (remaining - pw[lo]) // coef
+    w = min(bound, isqrt(most) if degree == 2 else most)
+    charge = max(w - v, 0) + 1
+    pairs = []
+    while v <= w:
+        if pw[v] + pw[w] < remaining:
+            v += 1
+        elif pw[v] + pw[w] > remaining:
+            w -= 1
+        else:
+            pairs.append((v, w))
+            v += 1
+            w -= 1
+    return pairs, charge
+
+
+def test_solve_pair_is_the_plain_walk(monkeypatch):
+    # the pairs, their order and the charge of the plain two-pointer walk,
+    # and the pairs a scan over v finds, over random coefficients of
+    # degree 1 and 2, bounds below and above the largest modulus, totals
+    # the residues exclude and totals some pair reaches
+    rng = random.Random(28)
+    total = charged(monkeypatch)
+    excluded = representable = 0
+    for _ in range(1500):
+        coef, degree = rng.randint(1, 30), rng.choice((1, 2))
+        bound = rng.choice((rng.randint(1, 120), rng.randint(121, 400)))
+        pw = [coef * v**degree for v in range(bound + 1)]
+        lo = rng.choice((1, rng.randint(1, bound), bound + 1))
+        remaining = rng.choice((pw[rng.randint(1, bound)] + pw[rng.randint(1, bound)],
+                                rng.randint(0, 2 * pw[bound] + 1)))
+        index = {p: w for w, p in enumerate(pw)}
+        scanned = [(v, index[remaining - pw[v]]) for v in range(lo, bound + 1)
+                   if index.get(remaining - pw[v], -1) >= v]
+        residues = solutions._pair_residues(coef, degree, solutions.PAIR_MODULI)
+        before = total[0]
+        pairs = solutions._solve_pair(pw, coef, degree, remaining, lo, bound,
+                                      solutions._Budget(), residues)
+        assert (pairs, total[0] - before) == plain_pair_walk(pw, coef, degree, remaining, lo, bound)
+        assert pairs == scanned
+        excluded += any(not allowed[remaining % q] for q, allowed in residues)
+        representable += bool(pairs)
+    assert excluded > 300 and representable > 300
+    # two squares miss 7 residues mod 16, 2 mod 9, 6 mod 49 and 10 mod 121;
+    # 5(v + w) takes every residue, 3(v + w) only 3 mod 9
+    moduli = (16, 9, 49, 121)
+    assert [(q, sum(allowed)) for q, allowed in solutions._pair_residues(1, 2, moduli)
+            ] == [(16, 9), (9, 7), (49, 43), (121, 111)]
+    assert solutions._pair_residues(5, 1, moduli) == ()
+    assert solutions._pair_residues(3, 1, moduli) == ((9, bytes([1, 0, 0] * 3)),)
+
+
+@pytest.mark.parametrize("moduli", ((4, 3), ()), ids=("small", "none"))
+def test_pair_residues_other_moduli(monkeypatch, moduli):
+    # the residue check skips only pair walks that find nothing: with
+    # moduli that filter less, or with none, the oracles agree
+    monkeypatch.setattr("rado.solutions.PAIR_MODULI", moduli)
+    test_completeness_random_equations()
+    test_closing_edges_concatenate_to_one_shot()
+    test_reach_table_shifted_past_a_pinned_slot()
 
 
 @pytest.mark.parametrize("table_cap, charge", [(REACH_TABLE_CAP, 1429), (-1, 6477)])
@@ -451,6 +520,7 @@ def test_distinct_filters_the_plain_representatives(text, n, closing):
     ("x0+x1+x2+x3+x4=y0+y1+y2+y3+y4", 12, False, 8008, 2340),
     ("x0+x1+x2+x3+x4=y0+y1+y2+y3+y4", 12, True, 14184, 4178),
     ("x0+2x1+x2+x3=2y0+y1+y2+y3+~f", 8, False, 20070, 9398),
+    ("x^2+y^2+z^2=w^2", 105, True, 3822, 3740),   # a solved pair, y < z
 ])
 def test_distinct_scans_constrained_groups_strictly_increasing(
         monkeypatch, text, n, closing, plain_charge, distinct_charge):
