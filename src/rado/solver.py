@@ -33,8 +33,10 @@ unassign (reverse assign's own counters).
   (_dp_sides), both grown by one _grow call.  It also forward-checks:
   after a vertex joins class c, c is struck from each uncolored vertex
   above the decision that would close a solution with itself in one slot
-  of a side's first group and the rest of the class, and a wiped-out
-  domain rejects the placement.  Its masks cannot keep values distinct,
+  of a side's first group and the rest of the class, or in two slots of
+  the rhs's first group where it has them (the rhs has the fewer terms,
+  so its other side's full mask is the densest), and a wiped-out domain
+  rejects the placement.  Its masks cannot keep values distinct,
   so a distinct: equation runs on edge only, and backend dp refuses it.
 
 The backend rule counts solution representatives (_iter_reps), not
@@ -478,8 +480,11 @@ def _dp_checks(eq, n, r, color, domain):
     # forward checking puts a later vertex in one slot of each side's
     # first constrained group; a side without one reads its full mask at
     # weight 0, and a & b, already 0, strikes nothing
-    (wl, sl, _), (wr, sr, _) = (g[0] if g else ([0] * (n + 1), 0, None)
-                                for g in (lgroups, rgroups))
+    (wl, sl, _), (wr, sr, ri) = (g[0] if g else ([0] * (n + 1), 0, ())
+                                 for g in (lgroups, rgroups))
+    # the rhs's first group has two slots or more iff the full rhs with one
+    # of them emptied still has one filled: one of the group's indices
+    two = len(masks) - 1 - sr in ri
 
     # per color: a stack of the class's masks
     stacks: list[list] = [[masks] for _ in range(r + 1)]
@@ -490,7 +495,9 @@ def _dp_checks(eq, n, r, color, domain):
         from each uncolored vertex above the decision vertex forced[0] that
         would close a solution using its own value once and the rest of
         class c (those up to it are colored), sound while a class only grows
-        until backtrack; reject if a domain is wiped out."""
+        until backtrack; reject if a domain is wiped out.  assign_two, which
+        also strikes where the value fills two rhs slots, stands in for it
+        when the rhs's first group has two slots or more."""
         m = _grow(stacks[c][-1], groups, u, capmask)
         stacks[c].append(m)
         a, a1, b, b1 = m[lf], m[lf - sl], m[-1], m[-1 - sr]
@@ -513,7 +520,34 @@ def _dp_checks(eq, n, r, color, domain):
     def unassign(u):
         stacks[color[u]].pop()
 
-    return _viable(domain, r), assign, unassign
+    if not two:
+        return _viable(domain, r), assign, unassign
+    wr2 = [2 * x for x in wr]
+
+    def assign_two(u, c, log, forced):
+        """assign for a rhs whose first group has two slots or more: also
+        strike c from a vertex that would close a solution in two of them,
+        every other slot from class c.  Its own loop, so that an equation
+        whose rhs group has one slot pays nothing per vertex for it."""
+        m = _grow(stacks[c][-1], groups, u, capmask)
+        stacks[c].append(m)
+        a, a1, b, b1, b2 = m[lf], m[lf - sl], m[-1], m[-1 - sr], m[-1 - 2 * sr]
+        if a & b:
+            return False
+        bit = 1 << (c - 1)
+        for w in range(forced[0] + 1, n + 1):
+            dm = domain[w]
+            if dm & bit and not color[w] and (
+                    (b >> wl[w]) & a1 or (a >> wr[w]) & b1 or (a >> wr2[w]) & b2):
+                log.append((w, dm))
+                domain[w] = dm = dm ^ bit
+                if not dm:
+                    return False
+                if not dm & (dm - 1):
+                    forced.append(w)
+        return True
+
+    return _viable(domain, r), assign_two, unassign
 
 
 def compute_rado(

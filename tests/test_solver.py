@@ -234,21 +234,41 @@ def test_dp_colors_forced_vertices():
 
 def test_dp_forward_checking_prunes():
     # striking a color from each later vertex that would close a solution
-    # in that class: without it this refutation took 179,832 nodes
+    # in that class: without any strike this refutation took 179,832 nodes,
+    # striking only where the vertex fills one slot 3,614, and striking also
+    # where it fills two slots of the rhs 1,825
     eq = parse_equation("x1^2+x2^2+x3^2+x4^2+x5^2=y1^2+y2^2")
     out = find_coloring(eq, 31, 3, SearchParams(backend="dp"))
     assert out.verdict == UNCOLORABLE
-    assert out.stats.nodes <= 60_000
+    assert out.stats.nodes <= 2_500
     assert out.stats.propagations > 0
+
+
+def test_dp_strikes_a_value_that_fills_two_rhs_slots():
+    # class 1 = {1, 4}: 2 * 5^2 = 50 = 1 + 1 + 16 + 16 + 16, so 5 in both
+    # slots of y1^2+y2^2 closes a solution, while 5 in one slot of either
+    # side closes none (25 + y^2 is no sum of five of 1 and 16, 25 plus
+    # four of them no sum of two)
+    n, r = 8, 3
+    color = [0] * (n + 1)
+    domain = [(1 << r) - 1] * (n + 1)
+    candidates, assign, unassign = solver._dp_checks(
+        parse_equation("x1^2+x2^2+x3^2+x4^2+x5^2=y1^2+y2^2"), n, r, color, domain)
+    assert solver._place(1, 1, color, domain, assign, unassign)[0]
+    assert domain[5] & 1
+    assert solver._place(4, 1, color, domain, assign, unassign)[0]
+    assert not domain[5] & 1
+    assert candidates(5, r) == [2, 3]
 
 
 @pytest.mark.parametrize("backend, text, distinct, n, r, trace, witness", [
     # edge: fail-first decisions, propagation to a fixpoint
     ("edge", "x^2+y^2+z^2=w^2", False, 73, 2,
      (COLORABLE, 47, 173, 38), None),
-    # dp, one coefficient group per side: forward checking
+    # dp, one coefficient group per side: forward checking, two rhs slots
+    # of the first group as well when it has them
     ("dp", "x1^2+x2^2+x3^2+x4^2+x5^2=y1^2+y2^2", False, 31, 3,
-     (UNCOLORABLE, 3614, 20964, 19), None),
+     (UNCOLORABLE, 1825, 16205, 14), None),
     ("dp", "x0=y0+y1", False, 13, 3,
      (COLORABLE, 20, 81, 6), (1, 2, 2, 1, 3, 3, 1, 3, 3, 1, 2, 2, 1)),
     ("dp", "x0=y0+y1", False, 14, 3, (UNCOLORABLE, 53, 227, 8), None),
@@ -258,6 +278,9 @@ def test_dp_forward_checking_prunes():
     ("edge", "x+y=z", True, 8, 2,
      (COLORABLE, 4, 10, 3), (1, 1, 2, 1, 2, 2, 2, 1)),
     ("edge", "x+y=z", True, 9, 2, (UNCOLORABLE, 5, 20, 2), None),
+    # dp, a one-slot rhs group: forward checking from one slot only
+    ("dp", "x1^2+x2^2+x3^2+x4^2+x5^2=z^2", False, 23, 2,
+     (UNCOLORABLE, 87, 389, 8), None),
 ])
 def test_search_traces_are_pinned(backend, text, distinct, n, r, trace, witness):
     # exact counts, one case per search path: a change to the search core
@@ -557,6 +580,42 @@ def test_dp_agrees_with_edge_on_grouped_draws(text, n, r):
     eq = parse_equation(text)
     assume(solutions._count_reps(eq, n) <= REPS_REFERENCE_CAP)
     assume(len(build_hyperedges(eq, n)) <= EDGE_REFERENCE_CAP)
+    dp = find_coloring(eq, n, r, SearchParams(backend="dp"))
+    edge = find_coloring(eq, n, r, SearchParams(backend="edge"))
+    assert dp.verdict == edge.verdict != BUDGET_EXHAUSTED
+    if dp.coloring is not None:
+        assert verify(Certificate.from_coloring(text, dp.coloring)).status == VALID
+
+
+@st.composite
+def square_sums(draw):
+    """p squares = q squares, degree 2 or 1: 2-5 lhs terms with
+    coefficients 1-2 and maybe a free variable, 2-3 rhs terms with
+    coefficients 1-3 whose first group has two slots or more."""
+    exp = "^2" if draw(st.sampled_from((1, 2))) == 2 else ""
+
+    def term(c, name):
+        return f"{c if c > 1 else ''}{name}{exp}"
+
+    coefs = draw(st.lists(st.integers(1, 2), min_size=2, max_size=5))
+    lhs = [term(c, f"x{i}") for i, c in enumerate(coefs)]
+    if draw(st.booleans()):
+        lhs.append(term(draw(st.integers(1, 2)), "~f"))
+    c = draw(st.integers(1, 3))
+    coefs = [c, c] + draw(st.lists(st.integers(c, 3), max_size=1))
+    rhs = [term(c, f"y{i}") for i, c in enumerate(coefs)]
+    return "+".join(lhs) + "=" + "+".join(rhs)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(text=square_sums(), n=st.integers(6, 30), r=st.sampled_from((2, 3)))
+def test_dp_agrees_with_edge_on_two_slot_rhs_draws(text, n, r):
+    # the strike of a vertex that fills two rhs slots reads one more mask
+    # per class; a wrong index or shift there, or the strike on a one-slot
+    # group, strikes a color that no solution forbids and turns colorable
+    # into uncolorable
+    eq = parse_equation(text)
+    assume(solutions._count_reps(eq, n) <= REPS_REFERENCE_CAP)
     dp = find_coloring(eq, n, r, SearchParams(backend="dp"))
     edge = find_coloring(eq, n, r, SearchParams(backend="edge"))
     assert dp.verdict == edge.verdict != BUDGET_EXHAUSTED
