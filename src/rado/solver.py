@@ -483,8 +483,10 @@ def _dp_checks(eq, n, r, color, domain):
     (wl, sl, _), (wr, sr, ri) = (g[0] if g else ([0] * (n + 1), 0, ())
                                  for g in (lgroups, rgroups))
     # the rhs's first group has two slots or more iff the full rhs with one
-    # of them emptied still has one filled: one of the group's indices
+    # of them emptied still has one filled: one of the group's indices;
+    # then a later vertex also goes in two of them, at twice its weight
     two = len(masks) - 1 - sr in ri
+    wr2 = [2 * x for x in wr]
 
     # per color: a stack of the class's masks
     stacks: list[list] = [[masks] for _ in range(r + 1)]
@@ -494,21 +496,24 @@ def _dp_checks(eq, n, r, color, domain):
         holds a solution (one with u: it held none before).  Then strike c
         from each uncolored vertex above the decision vertex forced[0] that
         would close a solution using its own value once and the rest of
-        class c (those up to it are colored), sound while a class only grows
-        until backtrack; reject if a domain is wiped out.  assign_two, which
-        also strikes where the value fills two rhs slots, stands in for it
-        when the rhs's first group has two slots or more."""
+        class c (those up to it are colored), or, where the rhs's first
+        group has two slots or more, its value in two of them; sound while
+        a class only grows until backtrack.  Reject if a domain is wiped
+        out."""
         m = _grow(stacks[c][-1], groups, u, capmask)
         stacks[c].append(m)
         a, a1, b, b1 = m[lf], m[lf - sl], m[-1], m[-1 - sr]
+        b2 = m[-1 - 2 * sr] if two else 0
         if a & b:
             return False
         bit = 1 << (c - 1)
         for w in range(forced[0] + 1, n + 1):
             dm = domain[w]
-            # w once on the left: (a1 << wl[w]) & b; on the right:
-            # a & (b1 << wr[w]); shifted right instead, for smaller ints
-            if dm & bit and not color[w] and ((b >> wl[w]) & a1 or (a >> wr[w]) & b1):
+            # w once on the left: (a1 << wl[w]) & b; once on the right:
+            # a & (b1 << wr[w]); twice: a & (b2 << 2 * wr[w]); shifted
+            # right instead, for smaller ints
+            if dm & bit and not color[w] and (
+                    (b >> wl[w]) & a1 or (a >> wr[w]) & b1 or b2 and (a >> wr2[w]) & b2):
                 log.append((w, dm))
                 domain[w] = dm = dm ^ bit
                 if not dm:
@@ -520,34 +525,7 @@ def _dp_checks(eq, n, r, color, domain):
     def unassign(u):
         stacks[color[u]].pop()
 
-    if not two:
-        return _viable(domain, r), assign, unassign
-    wr2 = [2 * x for x in wr]
-
-    def assign_two(u, c, log, forced):
-        """assign for a rhs whose first group has two slots or more: also
-        strike c from a vertex that would close a solution in two of them,
-        every other slot from class c.  Its own loop, so that an equation
-        whose rhs group has one slot pays nothing per vertex for it."""
-        m = _grow(stacks[c][-1], groups, u, capmask)
-        stacks[c].append(m)
-        a, a1, b, b1, b2 = m[lf], m[lf - sl], m[-1], m[-1 - sr], m[-1 - 2 * sr]
-        if a & b:
-            return False
-        bit = 1 << (c - 1)
-        for w in range(forced[0] + 1, n + 1):
-            dm = domain[w]
-            if dm & bit and not color[w] and (
-                    (b >> wl[w]) & a1 or (a >> wr[w]) & b1 or (a >> wr2[w]) & b2):
-                log.append((w, dm))
-                domain[w] = dm = dm ^ bit
-                if not dm:
-                    return False
-                if not dm & (dm - 1):
-                    forced.append(w)
-        return True
-
-    return _viable(domain, r), assign_two, unassign
+    return _viable(domain, r), assign, unassign
 
 
 def compute_rado(

@@ -570,13 +570,7 @@ EDGE_REFERENCE_CAP = 2_000
 REPS_REFERENCE_CAP = 50_000
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(text=grouped_equations(), n=st.integers(6, 28), r=st.sampled_from((2, 3)))
-@example(text="x0=y0+y1", n=13, r=3)     # Schur S(3) = 13: the last colorable n
-def test_dp_agrees_with_edge_on_grouped_draws(text, n, r):
-    # forward checking may only prune colors that would close a solution;
-    # a wrong strike, a missed restore or a wrong mask index turns
-    # colorable into uncolorable, or lets a solution through
+def _check_dp_against_edge(text, n, r):
     eq = parse_equation(text)
     assume(solutions._count_reps(eq, n) <= REPS_REFERENCE_CAP)
     assume(len(build_hyperedges(eq, n)) <= EDGE_REFERENCE_CAP)
@@ -587,23 +581,35 @@ def test_dp_agrees_with_edge_on_grouped_draws(text, n, r):
         assert verify(Certificate.from_coloring(text, dp.coloring)).status == VALID
 
 
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(text=grouped_equations(), n=st.integers(6, 28), r=st.sampled_from((2, 3)))
+@example(text="x0=y0+y1", n=13, r=3)     # Schur S(3) = 13: the last colorable n
+def test_dp_agrees_with_edge_on_grouped_draws(text, n, r):
+    # forward checking may only prune colors that would close a solution;
+    # a wrong strike, a missed restore or a wrong mask index turns
+    # colorable into uncolorable, or lets a solution through
+    _check_dp_against_edge(text, n, r)
+
+
 @st.composite
 def square_sums(draw):
-    """p squares = q squares, degree 2 or 1: 2-5 lhs terms with
-    coefficients 1-2 and maybe a free variable, 2-3 rhs terms with
-    coefficients 1-3 whose first group has two slots or more."""
+    """p squares = q squares, degree 2 or 1: 2-3 rhs terms with
+    coefficients 1-3 whose first group has two slots or more, and 2-5 lhs
+    terms with coefficients 1-2 and maybe a free variable, always more
+    terms than the rhs, so that normalization keeps the rhs on the right."""
     exp = "^2" if draw(st.sampled_from((1, 2))) == 2 else ""
 
     def term(c, name):
         return f"{c if c > 1 else ''}{name}{exp}"
 
-    coefs = draw(st.lists(st.integers(1, 2), min_size=2, max_size=5))
-    lhs = [term(c, f"x{i}") for i, c in enumerate(coefs)]
-    if draw(st.booleans()):
-        lhs.append(term(draw(st.integers(1, 2)), "~f"))
     c = draw(st.integers(1, 3))
     coefs = [c, c] + draw(st.lists(st.integers(c, 3), max_size=1))
     rhs = [term(c, f"y{i}") for i, c in enumerate(coefs)]
+    free = draw(st.booleans())
+    coefs = draw(st.lists(st.integers(1, 2), min_size=max(2, len(rhs) + 1 - free), max_size=5))
+    lhs = [term(c, f"x{i}") for i, c in enumerate(coefs)]
+    if free:
+        lhs.append(term(draw(st.integers(1, 2)), "~f"))
     return "+".join(lhs) + "=" + "+".join(rhs)
 
 
@@ -614,13 +620,7 @@ def test_dp_agrees_with_edge_on_two_slot_rhs_draws(text, n, r):
     # per class; a wrong index or shift there, or the strike on a one-slot
     # group, strikes a color that no solution forbids and turns colorable
     # into uncolorable
-    eq = parse_equation(text)
-    assume(solutions._count_reps(eq, n) <= REPS_REFERENCE_CAP)
-    dp = find_coloring(eq, n, r, SearchParams(backend="dp"))
-    edge = find_coloring(eq, n, r, SearchParams(backend="edge"))
-    assert dp.verdict == edge.verdict != BUDGET_EXHAUSTED
-    if dp.coloring is not None:
-        assert verify(Certificate.from_coloring(text, dp.coloring)).status == VALID
+    _check_dp_against_edge(text, n, r)
 
 
 def test_oracle_schur():
