@@ -140,7 +140,7 @@ def verify(cert: Certificate) -> Verdict:
 
     if cert.n == 0:
         return Verdict(VALID)
-    chi = (0,) + cert.colors
+    chi = (0, *cert.colors)
     try:
         color = chi.__getitem__
         lhs, rhs = _plan(eq)

@@ -186,7 +186,7 @@ class _Scanner:
     def take_uint(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdigit() and self.text[self.pos].isascii():
             self.pos += 1
         return int(self.text[start : self.pos])
 
@@ -253,7 +253,7 @@ def _parse_side(sc: _Scanner):
 def _parse_term(sc: _Scanner):
     ch = sc.peek()
     coefficient = 1
-    if ch.isdigit():
+    if ch.isdigit() and ch.isascii():
         coefficient = sc.take_uint()
         if coefficient == 0:
             raise EquationError("coefficient must be >= 1, got 0")

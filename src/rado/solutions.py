@@ -20,7 +20,8 @@ charged first, and skipped where the total is no residue the pair can
 take mod PAIR_MODULI, unless the reachability table below vouches for a
 pair.  On x^2+y^2+z^2=w^2 grown to n=84 that skips 1,393 of 2,018 walks.
 
-The streamed side's innermost slot probes each total against the
+The streamed side's innermost slot scans its values up to one bound,
+found by bisecting the power table, and probes each sum against the
 materialized table.  Where its values' powers and the table's totals
 are both sparse mod small moduli, a residue sieve probes only the
 values whose power completes the partial sum to some table total's
@@ -408,20 +409,24 @@ def _iter_side(groups, scan, cap, probe, budget, strict=False):
     values is a tuple of per-group non-decreasing value tuples; with
     strict, a constrained group's values are strictly increasing.
 
-    With a probe the innermost slot runs as a tight loop, so the scan cost
-    stays close to raw arithmetic, or through the residue sieve where that
-    pays; when the probe holds only a few totals the last slots are solved
-    for each of them instead (solve), called for each value of the slot
-    before them.  Each call is charged len(totals) + 1 besides its pair
-    walks.  Where two or more of the last group's slots loop, they skip
-    each value from which the slots left cannot reach a probe total
-    (_reach_rows), so a pruned subtree is never entered and never charged
-    to the budget.
+    Each slot scans up from the slot before it (a pinned slot sits at its
+    bound) to one bound: the last value that, in this slot and the later
+    slots of its group, keeps the side within cap less the later groups'
+    least total.  The last group's innermost slot takes its values from
+    that range, or from the residue sieve's hits in it where the sieve
+    pays, and tests each against the probe; it is charged one more than
+    the range holds (1 without a probe).  When the probe holds only a few
+    totals the last slots are solved for each of them instead (solve),
+    called for each value of the slot before them.  Each call is charged
+    len(totals) + 1 besides its pair walks.  Where two or more of the
+    last group's slots loop, they skip each value from which the slots
+    left cannot reach a probe total (_reach_rows), so a pruned subtree is
+    never entered and never charged to the budget.
     """
     tail_min = _tail_min(groups, scan)
     glast = len(groups) - 1
     totals = sieve = rows = solved = None
-    residues = ()
+    residues, want = (), 0
     if probe is not None:
         g = groups[glast]
         pw = scan.powers[g.coefficient]
@@ -495,38 +500,21 @@ def _iter_side(groups, scan, cap, probe, budget, strict=False):
             if slot == top:
                 if pin:
                     lo = bound
+                # the values whose power keeps part and the later groups'
+                # least total within cap
+                hi = bisect_right(pw, cap - later - part, lo, bound + 1)
                 if not last:
                     budget.spend(1)
-                    v = lo
-                    while v <= bound and part + pw[v] + later <= cap:
+                    for v in range(lo, hi):
                         yield from rec(gi + 1, part + pw[v], acc + (tuple(vals + [v]),))
-                        v += 1
-                elif probe is None:
-                    budget.spend(1)
-                    v = lo
-                    while v <= bound and part + pw[v] <= cap:
-                        yield part + pw[v], acc + (tuple(vals + [v]),)
-                        v += 1
-                elif sieve is None:
-                    # innermost slot: probe the other side's totals directly
-                    v = lo
-                    count = 0
-                    while v <= bound:
-                        t = part + pw[v]
-                        if t > cap:
-                            break
-                        if t in probe:
-                            yield t, acc + (tuple(vals + [v]),)
-                        v += 1
-                        count += 1
-                    budget.spend(count + 1)
                 else:
-                    # the same probes, through the residue sieve, and the
-                    # same charge: every value the loop above would try
-                    hi = bisect_right(pw, cap - part, lo, bound + 1)
-                    for v in sieve(part, lo, hi):
-                        yield part + pw[v], acc + (tuple(vals + [v]),)
-                    budget.spend(hi - lo + 1)
+                    # the sieve gives only probe hits, so they all pass the
+                    # test; a probe is charged every value of the range,
+                    # sieved or not
+                    for v in range(lo, hi) if sieve is None else sieve(part, lo, hi):
+                        if probe is None or part + pw[v] in probe:
+                            yield part + pw[v], acc + (tuple(vals + [v]),)
+                    budget.spend(1 if probe is None else hi - lo + 1)
                 return
             budget.spend(1)
             # slots slot..top all hold >= v, and a pinned top holds bound
@@ -534,31 +522,20 @@ def _iter_side(groups, scan, cap, probe, budget, strict=False):
             limit = cap - later - (pw[bound] if pin else 0)
             # the solved slots follow this one: no generator per value
             solving = last and slot + 1 == solved
+            # with reach rows, enter v only if the mult - 1 free slots
+            # after it can bring part + pw[v] to a probe total
+            row = rows[mult - 1] if last and rows is not None else None
+            reach = want >> part
             v = lo
-            if last and rows is not None:
-                # enter v only if the mult - 1 free slots after it can
-                # bring part + pw[v] to a probe total
-                row = rows[mult - 1]
-                reach = want >> part
-                while v <= bound and part + pw[v] * mult <= limit:
-                    if (reach >> pw[v] * mult) & row[v]:
-                        if solving:
-                            for t, tail in solve(v + step, part + pw[v]):
-                                yield t, acc + ((*vals, v, *tail),)
-                        else:
-                            vals.append(v)
-                            yield from fill(slot + 1, v + step, part + pw[v], vals)
-                            vals.pop()
-                    v += 1
-                return
             while v <= bound and part + pw[v] * mult <= limit:
-                if solving:
-                    for t, tail in solve(v + step, part + pw[v]):
-                        yield t, acc + ((*vals, v, *tail),)
-                else:
-                    vals.append(v)
-                    yield from fill(slot + 1, v + step, part + pw[v], vals)
-                    vals.pop()
+                if row is None or (reach >> pw[v] * mult) & row[v]:
+                    if solving:
+                        for t, tail in solve(v + step, part + pw[v]):
+                            yield t, acc + ((*vals, v, *tail),)
+                    else:
+                        vals.append(v)
+                        yield from fill(slot + 1, v + step, part + pw[v], vals)
+                        vals.pop()
                 v += 1
 
         if last and solved == 0:

@@ -23,6 +23,14 @@ def test_valid_schur_example():
     assert verify(cert).status == VALID
 
 
+def test_verify_takes_a_list_of_colors():
+    # a caller may build the coloring as a list; verify never raises
+    assert verify(Certificate("x+y=z", 4, 2, [1, 2, 2, 1])).status == VALID
+    verdict = verify(Certificate("x+y=z", 4, 2, [1, 1, 2, 1]))
+    assert verdict.status == INVALID
+    assert verdict.violation.render(parse_equation("x+y=z")) == "1+1=2"
+
+
 def test_exact_file_format():
     cert = Certificate("x+y=z", 4, 2, (1, 2, 2, 1))
     assert write_certificate(cert) == (

@@ -61,6 +61,15 @@ def test_syntax_error_position():
         assert text[exc.value.position] == ")", text
 
 
+@pytest.mark.parametrize("text", ["\u00b2x+y=z", "\u0663x+y=z"], ids=("superscript", "arabic"))
+def test_non_ascii_digits_rejected(text):
+    # the grammar's digits are ASCII: a superscript two is no coefficient
+    # (int() cannot read it) and an Arabic-Indic three is no 3
+    with pytest.raises(ParseError) as exc:
+        parse_equation(text)
+    assert exc.value.position == 0
+
+
 def test_zero_coefficient():
     with pytest.raises(EquationError, match="coefficient"):
         parse_equation("0x+y=z")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from math import comb, isqrt
@@ -353,6 +354,46 @@ def test_reach_table_spares_the_budget(monkeypatch, table_cap, charge):
     total = charged(monkeypatch)
     assert len(build_hyperedges(family_equation(9), 15, closing=True)) == 140
     assert total[0] == charge
+
+
+@pytest.mark.parametrize("text, n, closing, reps, charge, digest", [
+    pytest.param("x1^2+x2^2+x3^2+x4^2=y1^2+y2^2+y3^2", 22, False, 23138, 13375,
+                 "7578d26ef190a4fbe6d475795d7d42fe74bcf1c327b608ed93cc7bc17d5c44d9",
+                 id="plain-probe"),
+    pytest.param("x^2+y^2=z^2", 2000, False, 1981, 1571916,
+                 "52dd3b60519c38958f8f6bca7e749b9483a78b6cda6b5e4628ad3c762b494a19",
+                 id="sieve"),
+    pytest.param("x^2+y^2=z^2", 300, True, 2, 302,
+                 "b95b0c7a3e1ce9cfa9abc9f784446bcfaf857f3990976b530703270c8c5471e3",
+                 id="closing-solved-last"),
+    pytest.param("x^2+y^2+z^2=w^2", 105, True, 28, 3822,
+                 "89dfdfd5c557156f75a8ead5e1e1236f97807d25cb386f0545d6cc7c20441ebc",
+                 id="closing-solved-pair"),
+    pytest.param(9, 15, True, 155, 1429,
+                 "b94c3098a539469b6c13f8f533b708e4dc8e712eb498150a7585c306de7e0573",
+                 id="closing-reach-rows"),
+    pytest.param("2x^2+2y^2=z^2+w^2+~a^2", 30, False, 3453, 25565,
+                 "5a2ea3cf199029924278a1b5364fb1bc87f37bb63f686ba7994efb8826d94d3e",
+                 id="free"),
+    pytest.param("x^2+y^2+2z^2=w^2", 60, True, 16, 2846,
+                 "fbfc68b5a53e00fa53dce39f9de84d8ab99959c6bac7b05263179a2739d599d6",
+                 id="closing-two-groups"),
+    pytest.param("distinct: x+y=z", 40, False, 380, 402,
+                 "815eb33c6de85e6c52e20d22dfce83555d7a8713dafd639f423b176cdc44b555",
+                 id="distinct"),
+    pytest.param("x0+2x1+x2+x3=2y0+y1+y2+y3+~f", 6, False, 53218, 5348,
+                 "2057ee7fbeb3feda7c88d840692b1a81ed26f332f8e316285aab635d2e4249fc",
+                 id="linear-free"),
+])
+def test_iter_reps_stream_is_pinned(monkeypatch, text, n, closing, reps, charge, digest):
+    # edge lists and listings are sorted, so they cannot see the order of
+    # the representative stream, which verify's first violation reads:
+    # pin the stream itself, its length and its charge to the clock
+    eq = family_equation(text) if isinstance(text, int) else parse_equation(text)
+    total = charged(monkeypatch)
+    stream = list(solutions._iter_reps(eq, n, closing))
+    assert (len(stream), total[0]) == (reps, charge)
+    assert hashlib.sha256(repr(stream).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("k, n", [(4, 24), (8, 30)])
