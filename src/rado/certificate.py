@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .equations import EquationError, parse_equation
+from .equations import EquationError, decimal_int, parse_equation
 from .solutions import (
     OverflowGuardError,
     SolutionCapError,
@@ -99,19 +99,19 @@ def parse_certificate(text: str) -> Certificate:
             fields[tag] = rest.strip()
         elif tag == "k":
             try:
-                colors.extend(int(tok) for tok in rest.split())
-            except ValueError:
-                raise CertificateError(f"bad color value in {line!r}") from None
+                colors.extend(map(decimal_int, rest.split()))
+            except ValueError as exc:
+                raise CertificateError(f"bad color value in {line!r}: {exc}") from None
         else:
             raise CertificateError(f"unknown line {line!r}")
     for tag in ("e", "n", "r"):
         if tag not in fields:
             raise CertificateError(f"missing '{tag}' line")
     try:
-        n = int(fields["n"])
-        r = int(fields["r"])
-    except ValueError:
-        raise CertificateError("n and r must be integers") from None
+        n = decimal_int(fields["n"])
+        r = decimal_int(fields["r"])
+    except ValueError as exc:
+        raise CertificateError(f"n and r must be integers: {exc}") from None
     return Certificate(fields["e"], n, r, tuple(colors), fields.get("claim"))
 
 

@@ -231,6 +231,7 @@ def _rado_json(eq, r, out: RadoOutcome) -> dict:
                 "warm": b.warm,
                 "nodes": b.nodes,
                 "propagations": b.propagations,
+                "flips": b.flips,
             }
             for b in out.bounds
         ],

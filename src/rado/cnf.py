@@ -36,7 +36,8 @@ memo's values, sends the text through that scan once more with the range
 bound, to name the first offending literal.
 
 parse_dimacs accepts only headers export_cnf can write: n >= 1, r >= 1,
-binary (r=2, n variables) or direct (n*r variables); else CnfError.
+binary (r=2, n variables) or direct (n*r variables); else CnfError.  It
+and parse_model read integers written -?[0-9]+ only (decimal_int).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from operator import countOf, getitem, itemgetter
 
-from .equations import Equation
+from .equations import Equation, decimal_int
 from .solutions import EdgeSet
 from .solver import Coloring
 
@@ -198,7 +199,7 @@ def write_dimacs(inst: CnfInstance) -> str:
 def parse_dimacs(text: str) -> CnfInstance:
     """Read back an exported instance, header metadata included."""
     # a bulk read that gives up has converted tokens of clause lines only
-    memo = _Memo(int)
+    memo = _Memo(decimal_int)
     meta, variable_count, clause_count, clauses, clause_lines = (
         _read_export_layout(text, memo) or _scan_lines(text, memo))
     if variable_count is None:
@@ -255,7 +256,7 @@ def _read_export_layout(text: str, memo: _Memo):
             return None
         clause_lines += lines
         body = end
-    # and no token but "0" is worth 0, such as "-0", "00" or "0_0"
+    # and no token but "0" is worth 0, such as "-0" or "00"
     if countOf(memo.values(), 0) > 1:
         return None
     return meta, variable_count, clause_count, Clauses(lits, clause_lines), clause_lines
@@ -296,8 +297,8 @@ def _scan_lines(text: str, memo: _Memo, bound: int | None = None):
         start = len(lits)
         try:
             lits += map(literal, line.split())
-        except ValueError:
-            raise CnfError(f"line {lineno}: bad clause {line.strip()!r}") from None
+        except ValueError as exc:
+            raise CnfError(f"line {lineno}: bad clause {line.strip()!r}: {exc}") from None
         if lits[-1] != 0:
             raise CnfError(f"line {lineno}: clause must end with 0")
         clause_lines += 1
@@ -319,9 +320,9 @@ def _check_encoding(r: int, encoding: str) -> None:
 
 def _header_int(token: str, lineno: int, line: str) -> int:
     try:
-        return int(token)
+        return decimal_int(token)
     except ValueError:
-        raise CnfError(f"line {lineno}: non-integer field in {line!r}") from None
+        raise CnfError(f"line {lineno}: non-integer field {token!r} in {line!r}") from None
 
 
 def parse_model(text: str) -> list[int]:
@@ -339,7 +340,7 @@ def parse_model(text: str) -> list[int]:
     lits: list[int] = []
     for tok in tokens:
         try:
-            lit = int(tok)
+            lit = decimal_int(tok)
         except ValueError:
             raise CnfError(f"bad model literal {tok!r}") from None
         if lit == 0:

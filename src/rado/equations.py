@@ -159,6 +159,16 @@ def _render_side(side: tuple[Term, ...], eq: Equation) -> str:
     return "+".join(parts)
 
 
+def decimal_int(token: str) -> int:
+    """int(token) for a token of the form -?[0-9]+ alone, which is all the
+    certificate and DIMACS writers write; int() also reads other Unicode
+    digits, "_", "+" and spaces.  Raises ValueError naming the token."""
+    digits = token[1:] if token[:1] == "-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def _is_ident(s: str) -> bool:
     return bool(s) and s[0].isalpha() and s.isalnum() and s.isascii()
 

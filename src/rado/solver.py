@@ -52,7 +52,19 @@ count, count representatives as they enumerate them, against the same
 bounds.  Each switch to dp is logged at info on the "rado" logger.
 
 compute_rado's warm step extends the last witness to a new n before any
-search.  On dp it keeps each color class's mask list from one n to the
+search.  When no color extends it on edge with r >= 2, a walk (_walk)
+runs before the cold search.  It starts from the witness, n in the color
+on the fewest monochromatic closing edges; each flip recolors, on a
+monochromatic edge, the (vertex, color) that makes the fewest others
+monochromatic, or, with probability 0.3 when each makes one, a random
+one.  Its draws come from n and r alone, so runs repeat.  It gives up
+after max(WALK_MIN_FLIPS, the last cold bound's nodes) flips or at the
+deadline, and the cold search decides; it only ever returns a coloring,
+so no verdict rests on it.  It reads compute_rado's incidence lists,
+grown from its edge list when a walk or an edge search needs them and
+passed to the edge backend too.
+
+On dp the warm step keeps each color class's mask list from one n to the
 next, sized for values up to 2n (at most n_cap) since their capmask
 grows with n, and grows n into one class after another, the test assign
 makes.  It rebuilds them from the witness once n passes that size, when
@@ -94,6 +106,9 @@ BACKENDS = ("edge", "dp", "auto")
 AUTO_EDGE_CAP = 20_000
 EDGE_BACKEND_CAP = 1_000_000
 ORACLE_CAP = 10**8
+# compute_rado's walk gives up after this many flips, or after as many as
+# the last cold bound took nodes if that is more
+WALK_MIN_FLIPS = 16
 
 log = logging.getLogger("rado")
 
@@ -145,6 +160,7 @@ class BoundReport:
     nodes: int
     propagations: int
     elapsed_ms: int
+    flips: int = 0            # the walk's flips, on a bound it colored
 
 
 @dataclass
@@ -191,7 +207,9 @@ def find_coloring(
     except EnumerationTimeout:
         return SearchOutcome(BUDGET_EXHAUSTED, None, SearchStats(), "edge")
     start = time.monotonic()
-    outcome = _search(eq, n, r, None if found is None else found.edges, deadline)
+    edges = None if found is None else found.edges
+    incident = None if found is None else _index([], edges, 0, n)
+    outcome = _search(eq, n, r, edges, incident, deadline)
     outcome.stats.elapsed_ms = int((time.monotonic() - start) * 1000)
     return outcome
 
@@ -248,15 +266,25 @@ def _edges(eq, n, backend, deadline, closing=False, have=0):
     return None
 
 
-def _search(eq, n, r, edges, deadline) -> SearchOutcome:
-    """Decide colorability of [1, n] on the edge backend, or on dp when
-    edges is None."""
+def _index(incident, edges, start, n):
+    """Extend incident, vertex -> indices of its edges in ascending order,
+    to the vertices [0, n] and to edges[start:]; returns incident."""
+    incident += ([] for _ in range(n + 1 - len(incident)))
+    for ei in range(start, len(edges)):
+        for v in edges[ei]:
+            incident[v].append(ei)
+    return incident
+
+
+def _search(eq, n, r, edges, incident, deadline) -> SearchOutcome:
+    """Decide colorability of [1, n] on the edge backend, given its
+    incidence lists (_index), or on dp when edges is None."""
     stats = SearchStats()
     color = [0] * (n + 1)
     domain = [(1 << r) - 1] * (n + 1)     # viable colors, bit c-1
     if edges is not None:
         backend = "edge"
-        pick, checks = _edge_checks(n, r, edges, color, domain)
+        pick, checks = _edge_checks(n, r, edges, incident, color, domain)
     else:
         backend = "dp"
         checks = _dp_checks(eq, n, r, color, domain)
@@ -372,14 +400,11 @@ def _viable(domain, r):
     return candidates
 
 
-def _edge_checks(n, r, edges, color, domain):
+def _edge_checks(n, r, edges, incident, color, domain):
     """The edge backend: its fail-first pick, and candidates, assign and
-    unassign over per-edge counters."""
+    unassign over per-edge counters; incident holds the n + 1 lists of
+    _index, which it only reads."""
     esize = [len(e) for e in edges]
-    incident: list[list[int]] = [[] for _ in range(n + 1)]
-    for ei, e in enumerate(edges):
-        for v in e:
-            incident[v].append(ei)
     counts = [[0] * (r + 1) for _ in edges]
     unc = esize[:]
     # near[v]: v's near-threat edges, ~near[v] < 0 while v is colored, -1 if
@@ -536,13 +561,15 @@ def compute_rado(
 
     Each new n first tries extending the previous witness by each color
     in turn (only solutions closing at n can break, so the check is
-    cheap); when no extension survives, a full search runs for that n.
-    Bounds are reported from the first n that closes a solution.  The
-    edge list grows by the edges closing at each new n, under the backend
-    rule of find_coloring for [1, n]; once on dp, auto stays there, and
-    the warm step's per-class masks (_kept_masks) are kept across n,
-    rebuilt from the witness past their size, on the switch to dp and
-    after a cold search.
+    cheap); when no extension survives, on edge with r >= 2 a walk
+    (_walk) recolors from the witness, and when that gives up too, a full
+    search runs for that n.  Bounds are reported from the first n that
+    closes a solution.  The edge list grows by the edges closing at each
+    new n, under the backend rule of find_coloring for [1, n], and its
+    incidence lists catch up before each walk or edge search; once on
+    dp, auto stays there, and the warm step's per-class masks
+    (_kept_masks) are kept across n, rebuilt from the witness past their
+    size, on the switch to dp and after a cold search.
     """
     params = params or SearchParams()
     _validate(1, r, eq, params.backend)
@@ -550,9 +577,12 @@ def compute_rado(
     bounds: list[BoundReport] = []
     # every edge of [1, n], by (max, tuple); None once the search is on dp
     edges: list[tuple[int, ...]] | None = [] if params.backend != "dp" else None
+    incident: list[list[int]] = []       # _index of edges[:indexed]
+    indexed = 0
     reps = 0                              # the representatives behind edges
     colors: list[int] = []                # the witness: colors[v-1] is v's color
     kept = None                           # the dp warm step's masks (_try_extend)
+    cold_nodes = 0                        # the nodes of the last cold bound
     n = 0
     while n < params.n_cap and time.monotonic() <= deadline:
         n += 1
@@ -587,8 +617,23 @@ def compute_rado(
 
         if time.monotonic() > deadline:
             break
+        if closing is not None:           # indexed only when a walk or search needs it
+            _index(incident, edges, indexed, n)
+            indexed = len(edges)
+        if closing is not None and r > 1:
+            walked, flips = _walk(colors, n, r, edges, incident,
+                                  max(WALK_MIN_FLIPS, cold_nodes), deadline)
+            if walked is not None:
+                colors = walked
+                bounds.append(BoundReport(
+                    n, COLORABLE, "edge", True, 0, 0,
+                    int((time.monotonic() - t0) * 1000), flips,
+                ))
+                continue
+            if time.monotonic() > deadline:
+                break
         kept = None                       # rebuilt from the new witness
-        outcome = _search(eq, n, r, edges, deadline)
+        outcome = _search(eq, n, r, edges, incident, deadline)
         outcome.stats.elapsed_ms = int((time.monotonic() - t0) * 1000)
         bounds.append(BoundReport(
             n, outcome.verdict, outcome.backend, False,
@@ -600,6 +645,7 @@ def compute_rado(
         if outcome.verdict != COLORABLE:
             break
         colors = list(outcome.coloring.colors)
+        cold_nodes = outcome.stats.nodes
     return _outcome(LOWER_BOUND, len(colors), colors, r, bounds)
 
 
@@ -637,6 +683,59 @@ def _try_extend(colors, n, r, closing, kept):
             masks[c] = m
             return c
     return None
+
+
+def _walk(colors, n, r, edges, incident, budget, deadline):
+    """(colors of [1, n], flips) found by a walk from the witness colors of
+    [1, n-1], or (None, flips) once it has made budget flips or the clock
+    passes deadline.  It never claims that no coloring exists.
+
+    edges are those of [1, n] and incident is their _index.  n takes the
+    color on the fewest monochromatic edges; then each flip picks a
+    monochromatic edge and recolors the (vertex, color) on it that makes
+    the fewest others monochromatic, or, when each makes one, with
+    probability 0.3 a random one (probSAT, WalkSAT).  Its random draws
+    depend on n and r alone."""
+    state = n * 1_000_003 + r
+
+    def draw(k):                          # 64-bit LCG (Knuth's MMIX)
+        nonlocal state
+        state = (state * 6364136223846793005 + 1442695040888963407) & ((1 << 64) - 1)
+        return (state >> 33) % k
+
+    color = [0, *colors, 0]
+
+    def made(v, c):
+        """v's edges whose other vertices all have color c."""
+        out = []
+        for ei in incident[v]:
+            for w in edges[ei]:
+                if color[w] != c and w != v:
+                    break
+            else:
+                out.append(ei)
+        return out
+
+    color[n] = min(range(1, r + 1), key=lambda c: len(made(n, c)))
+    mono = set(made(n, color[n]))
+    flips = 0
+    clock = time.monotonic
+    while mono:
+        if flips == budget or clock() > deadline:
+            return None, flips
+        flips += 1
+        edge = edges[sorted(mono)[draw(len(mono))]]
+        new, v, c = min(((made(u, c), u, c) for u in edge
+                         for c in range(1, r + 1) if c != color[u]), key=lambda f: len(f[0]))
+        if new and draw(10) < 3:
+            v = edge[draw(len(edge))]
+            c = 1 + draw(r - 1)
+            c += c >= color[v]
+            new = made(v, c)
+        mono.difference_update(incident[v])   # v's monochromatic edges had its old color
+        mono.update(new)
+        color[v] = c
+    return color[1:], flips
 
 
 def _kept_masks(eq, colors, r, bound):

@@ -215,6 +215,25 @@ def test_parse_rejects_duplicate_line_and_non_integer_n():
         parse_certificate("rado-cert v1\ne x+y=z\nn one\nr 2\nk 1\n")
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n", "\u0664", "n and r must be integers: not an integer: '\u0664'"),
+    ("n", "0_4", "n and r must be integers: not an integer: '0_4'"),
+    ("n", "+4", "n and r must be integers: not an integer: '\\+4'"),
+    ("r", "\u0662", "n and r must be integers: not an integer: '\u0662'"),
+    ("k", "1 \u0662 2 1", "bad color value in .*: not an integer: '\u0662'"),
+    ("k", "1 2 2 0_1", "bad color value in .*: not an integer: '0_1'"),
+])
+def test_parse_reads_ascii_integers_only(field, value, message):
+    # int() reads each of these as the value write_certificate wrote, so
+    # the certificate of x+y=z, n=4, r=2, colors 1 2 2 1 verified as valid
+    good = {"n": "4", "r": "2", "k": "1 2 2 1"}
+    text = "rado-cert v1\ne x+y=z\n" + "".join(
+        f"{tag} {value if tag == field else good[tag]}\n" for tag in ("n", "r", "k"))
+    with pytest.raises(CertificateError, match=message):
+        parse_certificate(text)
+    assert verify_text(text).status == MALFORMED
+
+
 def test_parse_rejects_duplicate_claim_line():
     # write_certificate writes at most one claim; a second is not a correction
     text = "rado-cert v1\ne x+y=z\nn 1\nr 2\nclaim colorable\nclaim rado-exact 5\nk 1\n"

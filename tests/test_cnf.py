@@ -1,4 +1,5 @@
 import random
+import re
 import time
 import tracemalloc
 from functools import lru_cache
@@ -343,7 +344,7 @@ def test_imported_model_has_no_mono_edge():
 
 def per_token_parse_dimacs(text):
     """The parser as it was before the token memo and the header checks:
-    an int() per token and a second walk over every literal."""
+    a strict_int per token and a second walk over every literal."""
     meta = {}
     variable_count = None
     clause_count = None
@@ -366,9 +367,9 @@ def per_token_parse_dimacs(text):
             clause_count = header_int(fields[3], lineno, line)
             continue
         try:
-            lits = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise CnfError(f"line {lineno}: bad clause {line!r}") from None
+            lits = [strict_int(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise CnfError(f"line {lineno}: bad clause {line!r}: {exc}") from None
         if not lits or lits[-1] != 0:
             raise CnfError(f"line {lineno}: clause must end with 0")
         clauses.append(lits[:-1])
@@ -388,11 +389,18 @@ def per_token_parse_dimacs(text):
     return (meta["equation"], meta["n"], meta["r"], meta["encoding"], variable_count, clauses)
 
 
+def strict_int(token):
+    """int() of the integers the writers write, -?[0-9]+, and no other."""
+    if re.fullmatch("-?[0-9]+", token) is None:
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def header_int(token, lineno, line):
     try:
-        return int(token)
+        return strict_int(token)
     except ValueError:
-        raise CnfError(f"line {lineno}: non-integer field in {line!r}") from None
+        raise CnfError(f"line {lineno}: non-integer field {token!r} in {line!r}") from None
 
 
 @lru_cache(maxsize=None)
@@ -496,14 +504,20 @@ def test_parse_dimacs_matches_per_token_parser(text, n, encoding, edits, line_en
 ], ids=["0", "line-start-0", "-0", "0_0", "tab-0", "x1f-0"])
 def test_parse_dimacs_bulk_read_leaves_inner_zeros_to_the_line_scan(edits, chunk):
     # a token worth 0 inside a clause, on each clause line in turn, so at
-    # chunk starts and inside chunks alike
+    # chunk starts and inside chunks alike; "0_0", which int() reads as 0,
+    # is no integer at all
     text = exported_text("a+b+c=d", 8, 2, BINARY)
     with mock.patch.object(cnf, "_CHUNK", chunk):
         for at in range(text.count("\n") - HEADER_LINES):
             edited = edit_dimacs(text, [(kind, at, k) for kind, k in edits], "")
-            assert (parse_outcome(parse_dimacs, edited)
-                    == parse_outcome(per_token_parse_dimacs, edited)
-                    == ("error", "literal 0 out of range")), (at, edited)
+            outcome = parse_outcome(parse_dimacs, edited)
+            assert outcome == parse_outcome(per_token_parse_dimacs, edited), (at, edited)
+            if edits == [("0_0", 1)]:
+                assert outcome[0] == "error"
+                assert re.fullmatch(r"line \d+: bad clause .*: not an integer: '0_0'",
+                                    outcome[1]), (at, outcome)
+            else:
+                assert outcome == ("error", "literal 0 out of range"), (at, edited)
 
 
 ZERO_CLAUSE_TEXT = exported_text("x^2+y^2=z^2", 4, 2, BINARY)
@@ -575,3 +589,35 @@ def test_parse_dimacs_huge_declared_variable_count():
 def test_parse_dimacs_rejects_inconsistent_header(text, message):
     with pytest.raises(CnfError, match=message):
         parse_dimacs(text)
+
+
+SCHUR5_TEXT = exported_text("x+y=z", 5, 2, BINARY)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("c n 5\n", "c n \u0665\n", "line 3: non-integer field '\u0665'"),
+    ("p cnf 5 13\n", "p cnf 5 1_3\n", "line 7: non-integer field '1_3'"),
+    ("p cnf 5 13\n", "p cnf +5 13\n", "line 7: non-integer field '\\+5'"),
+    ("\n-1 0\n", "\n-\u0661 0\n", "line 8: bad clause .*'-\u0661'"),
+    ("\n1 2 0\n", "\n0_1 2 0\n", "line 9: bad clause .*'0_1'"),
+], ids=["arabic-indic-n", "underscore-count", "plus-count", "arabic-indic-literal",
+        "underscore-literal"])
+def test_parse_dimacs_reads_ascii_integers_only(old, new, message):
+    # int() reads each of these as the integer the export wrote there
+    assert SCHUR5_TEXT.count(old) == 1
+    edited = SCHUR5_TEXT.replace(old, new)
+    for chunk in (1, cnf._CHUNK):
+        with mock.patch.object(cnf, "_CHUNK", chunk), \
+                pytest.raises(CnfError, match=message):
+            parse_dimacs(edited)
+
+
+@pytest.mark.parametrize("text, token", [
+    ("v 1 -2 \u0663 1_0 0\n", "'\u0663'"),
+    ("v 1 -2 3 1_0 0\n", "'1_0'"),
+    ("1 +2 0", "'\\+2'"),
+    ("1 --2 0", "'--2'"),
+])
+def test_parse_model_reads_ascii_integers_only(text, token):
+    with pytest.raises(CnfError, match=f"bad model literal {token}"):
+        parse_model(text)

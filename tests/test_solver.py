@@ -152,8 +152,9 @@ def test_edge_pick_matches_a_fresh_count(walk):
     n, edges, r, steps = walk
     color = [0] * (n + 1)
     domain = [(1 << r) - 1] * (n + 1)
+    incident = solver._index([], edges, 0, n)
     pick, (candidates, assign, unassign) = solver._edge_checks(
-        n, r, edges, color, domain)
+        n, r, edges, incident, color, domain)
     tokens = []
     assert pick() == fresh_pick(n, edges, color)
     for step in steps:
@@ -432,8 +433,12 @@ def test_rado_deadline_checked_before_the_cold_search(monkeypatch):
     def search(*args):
         raise AssertionError("cold search started past the deadline")
 
+    def walk(*args):
+        raise AssertionError("walk started past the deadline")
+
     monkeypatch.setattr(solver, "_try_extend", late)
     monkeypatch.setattr(solver, "_search", search)
+    monkeypatch.setattr(solver, "_walk", walk)
     out = compute_rado(SCHUR, 2, SearchParams(time_budget=100))
     [n] = failed                   # one warm step failed, and the run stopped there
     assert (out.kind, out.value, out.witness.n) == (LOWER_BOUND, n - 1, n - 1)
@@ -687,6 +692,67 @@ def test_dp_refuses_distinct():
         find_coloring(eq, 9, 2, params)
     with pytest.raises(SolverError, match="backend 'dp' refuses a distinct: equation"):
         compute_rado(eq, 2, params)
+
+
+def test_walk_reaches_pythagorean_2200():
+    # without the walk, a cold search at n=2146 runs past any budget
+    eq = parse_equation("x^2+y^2=z^2")
+    out = compute_rado(eq, 2, SearchParams(n_cap=2200, time_budget=30))
+    assert (out.kind, out.value, out.witness.n) == (LOWER_BOUND, 2200, 2200)
+    assert any(b.flips for b in out.bounds)
+    assert verify(Certificate.from_coloring("x^2+y^2=z^2", out.witness)).status == VALID
+
+
+def _rado_run(text, r, cap):
+    out = compute_rado(parse_equation(text), r, SearchParams(n_cap=cap))
+    bounds = [(b.n, b.verdict, b.backend, b.warm, b.nodes, b.propagations, b.flips)
+              for b in out.bounds]
+    return out.kind, out.value, out.witness, bounds
+
+
+@pytest.mark.parametrize("text, respelled, r, cap", [
+    ("x^2+y^2+z^2=w^2", "c^2 = b^2 + zz^2 +a^2", 2, 200),
+    ("x^2+y^2=z^2", "q^2=p^2+o^2", 2, 700),
+    ("x+y=z", "v = u +t", 3, 20),
+])
+def test_walk_is_deterministic_and_spelling_free(text, respelled, r, cap):
+    # the walk draws from n and r alone: not from the spelling, nor the clock
+    first = _rado_run(text, r, cap)
+    assert any(bound[-1] for bound in first[-1])          # the walk colored a bound
+    assert _rado_run(text, r, cap) == first
+    assert _rado_run(respelled, r, cap) == first
+
+
+@pytest.mark.parametrize("text", ["x+y=z", "x^2+y^2=z^2", "x^2+y^2+z^2=w^2"])
+def test_no_walk_with_one_color(monkeypatch, text):
+    # with one color there is no other color to flip to
+    def walk(*args):
+        raise AssertionError("walk with r=1")
+
+    monkeypatch.setattr(solver, "_walk", walk)
+    out = compute_rado(parse_equation(text), 1)
+    assert out.kind == EXACT
+    assert all(b.flips == 0 for b in out.bounds)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(text=small_equations(), r=st.sampled_from((2, 3)), distinct=st.booleans())
+@example(text="v0+2v1=2v2", r=3, distinct=False)
+@example(text="v0+3v1=v2+v3", r=2, distinct=True)
+@example(text="2v0^2+v1^2=3v2^2+2v3^2", r=2, distinct=False)
+def test_compute_rado_matches_oracle(text, r, distinct):
+    # a walk that returned a coloring with a monochromatic edge would carry
+    # it forward as the witness, and a later bound would be wrong
+    eq = parse_equation(text, distinct=distinct)
+    cap = 12 if r == 2 else 8                 # r**cap colorings for the oracle
+    out = compute_rado(eq, r, SearchParams(backend="edge", n_cap=cap))
+    value = out.value
+    assert oracle_colorable(eq, value, r) == (out.kind == LOWER_BOUND)
+    if value > 1:
+        assert oracle_colorable(eq, value - 1, r)
+    assert out.witness.n == (value - 1 if out.kind == EXACT else value)
+    cert = Certificate.from_coloring(eq.render(), out.witness)
+    assert verify(cert).status == VALID
 
 
 def test_singleton_edge_short_circuit():
