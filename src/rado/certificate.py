@@ -22,7 +22,6 @@ from .solutions import (
     OverflowGuardError,
     SolutionCapError,
     SolutionTuple,
-    _constrained,
     _iter_reps,
     _plan,
     _to_solutions,
@@ -143,8 +142,8 @@ def verify(cert: Certificate) -> Verdict:
     chi = (0, *cert.colors)
     try:
         color = chi.__getitem__
-        lhs, rhs = _plan(eq)
-        values = _constrained(lhs, rhs)
+        plan = _plan(eq)
+        lhs, rhs, values = plan.lhs, plan.rhs, plan.values
         # (side, group) of the first and of the last constrained group: a
         # monochromatic representative colors their end vertices alike
         ends = [(s, i) for s, side in enumerate((lhs, rhs))

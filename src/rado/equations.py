@@ -104,6 +104,22 @@ class Equation:
         if lhs_free and rhs_free:
             raise EquationError("free variables on both sides are not supported")
 
+    def __hash__(self):
+        # the dataclass field hash, kept after its first use: the solver
+        # looks the equation's set-up up at every n.  It is left out of a
+        # pickle, since another process hashes strings with another seed.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.lhs, self.rhs, self.degree, self.free_vars, self.distinct_required))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
+
     @property
     def variables(self) -> tuple[str, ...]:
         """All variable names in canonical (lhs then rhs) order."""

@@ -107,7 +107,7 @@ class EnumerationTimeout(RuntimeError):
 def check_overflow(eq: Equation, n: int) -> None:
     if n < 1:
         raise ValueError(f"bound must be >= 1, got {n}")
-    if eq.side_max_sum(n) > OVERFLOW_LIMIT:
+    if max(_plan(eq).sums) * n**eq.degree > OVERFLOW_LIMIT:
         raise OverflowGuardError(
             f"bound {n} overflows the 64-bit guard for {eq.render()!r}"
         )
@@ -168,9 +168,46 @@ class _Group:
         return len(self.names)
 
 
+class _Plan:
+    """The enumeration set-up of one equation, built once (_plan) and read
+    at every n: the groups of each side, ordered by (coefficient, free
+    status); sums, each side's sum of coefficients; values, the reader of
+    a representative's constrained values (_constrained); and one power
+    table per coefficient (powers).  It unpacks to (lhs, rhs)."""
+
+    __slots__ = ("lhs", "rhs", "degree", "sums", "cap_sum", "values", "tables")
+
+    def __init__(self, lhs, rhs, degree):
+        self.lhs, self.rhs, self.degree = lhs, rhs, degree
+        self.sums = [sum(g.coefficient * g.size for g in side) for side in (lhs, rhs)]
+        # the sides without free variables bound a solution's total
+        self.cap_sum = min(s for s, side in zip(self.sums, (lhs, rhs))
+                           if not any(g.is_free for g in side))
+        self.values = _constrained(lhs, rhs)
+        self.tables: dict[int, list[int]] = {}
+
+    def __iter__(self):
+        return iter((self.lhs, self.rhs))
+
+    def cap(self, n: int) -> int:
+        """The largest total of a solution within [1, n]."""
+        return self.cap_sum * n**self.degree
+
+    def powers(self, coef: int, top: int) -> list[int]:
+        """[coef * v**degree for v in 0..m], m at least top.  A table grows
+        (at least doubling) by being replaced with a longer list, never in
+        place, so a list a running scan holds stays valid; a reader reads
+        only up to its own bound, or takes an exact slice."""
+        pw = self.tables.get(coef, [])
+        if len(pw) <= top:
+            pw = pw + [coef * v**self.degree for v in range(len(pw), max(top + 1, 2 * len(pw)))]
+            self.tables[coef] = pw
+        return pw
+
+
 @lru_cache(maxsize=256)
-def _plan(eq: Equation) -> tuple[tuple[_Group, ...], tuple[_Group, ...]]:
-    """The groups of each side, ordered by (coefficient, free status)."""
+def _plan(eq: Equation) -> _Plan:
+    """The set-up record of eq, one per equation (the lru bound aside)."""
 
     def side_groups(terms):
         buckets: dict[tuple[int, bool], list[str]] = {}
@@ -181,17 +218,7 @@ def _plan(eq: Equation) -> tuple[tuple[_Group, ...], tuple[_Group, ...]]:
             for (coef, free), names in sorted(buckets.items())
         )
 
-    return side_groups(eq.lhs), side_groups(eq.rhs)
-
-
-def _cap(lhs, rhs, n: int, degree: int) -> int:
-    """The largest total of a solution within [1, n]: the least of the
-    largest totals of the sides without free variables."""
-    return min(
-        sum(g.coefficient * g.size for g in side) * n**degree
-        for side in (lhs, rhs)
-        if not any(g.is_free for g in side)
-    )
+    return _Plan(side_groups(eq.lhs), side_groups(eq.rhs), eq.degree)
 
 
 class _Scan:
@@ -199,8 +226,8 @@ class _Scan:
 
     Every group scans [1, bound[g]]; the pinned group's last (largest)
     slot is fixed at its bound.  powers maps a coefficient to
-    [coefficient * v**degree for v in 0..b], b the largest bound of its
-    groups and at least n.
+    [coefficient * v**degree for v in at least 0..b], b the largest bound
+    of its groups and at least n; it is read only up to a group's bound.
     """
 
     __slots__ = ("degree", "powers", "bound", "pinned")
@@ -212,12 +239,13 @@ class _Scan:
         self.pinned = pinned
 
 
-def _scans(groups: tuple[_Group, ...], n: int, degree: int, closing: bool, cap: int):
+def _scans(plan: _Plan, n: int, closing: bool, cap: int):
     """The passes that enumerate [1, n], or with closing only the
     solutions holding n: pass p pins constrained group p to n and bounds
     the groups before it by n-1, so each solution is produced once, by the
     first group (lhs then rhs) that holds n.  A free group is never pinned;
     it is bounded by the largest value whose power fits in cap."""
+    groups, degree = plan.lhs + plan.rhs, plan.degree
     bound = {
         g: _floor_root(cap // g.coefficient, degree) if g.is_free else n
         for g in groups
@@ -225,7 +253,7 @@ def _scans(groups: tuple[_Group, ...], n: int, degree: int, closing: bool, cap: 
     reach: dict[int, int] = {}
     for g in groups:
         reach[g.coefficient] = max(reach.get(g.coefficient, n), bound[g])
-    powers = {c: [c * v**degree for v in range(top + 1)] for c, top in reach.items()}
+    powers = {c: plan.powers(c, top) for c, top in reach.items()}
     constrained = [g for g in groups if not g.is_free]
     if not closing:
         return [_Scan(degree, powers, bound)]
@@ -562,13 +590,14 @@ def _iter_reps(eq: Equation, n: int, closing: bool = False,
     skipped before anything is built: in a closing scan of x1^2+...+xk^2
     = z^2, the pass that pins the lhs at n starts at n^2 + k - 1."""
     check_overflow(eq, n)
-    lhs, rhs = _plan(eq)
+    plan = _plan(eq)
+    lhs, rhs = plan.lhs, plan.rhs
     distinct = eq.distinct_required
     if distinct:
-        values, width = _constrained(lhs, rhs), len(eq.constrained_variables)
+        values, width = plan.values, len(eq.constrained_variables)
     budget = _Budget(deadline)
-    cap = _cap(lhs, rhs, n, eq.degree)
-    for scan in _scans(lhs + rhs, n, eq.degree, closing, cap):
+    cap = plan.cap(n)
+    for scan in _scans(plan, n, closing, cap):
         if _tail_min(lhs, scan)[0] > cap or _tail_min(rhs, scan)[0] > cap:
             continue
         est_lhs, est_rhs = _est_reps(lhs, scan), _est_reps(rhs, scan)
@@ -608,9 +637,9 @@ def _count_reps(eq: Equation, n: int) -> int | None:
     if eq.distinct_required:
         return None
     check_overflow(eq, n)
-    lhs, rhs = _plan(eq)
-    cap = _cap(lhs, rhs, n, eq.degree)
-    (scan,) = _scans(lhs + rhs, n, eq.degree, False, cap)
+    plan = _plan(eq)
+    lhs, rhs, cap = plan.lhs, plan.rhs, plan.cap(n)
+    (scan,) = _scans(plan, n, False, cap)
     widths = [next((w for w in (8, 16, 32, 64) if _est_reps(side, scan) < 1 << w), 0)
               for side in (lhs, rhs)]
     work = sum(scan.bound[g] * g.size * (cap + 1) * w
@@ -735,7 +764,7 @@ def build_hyperedges(
     Past rep_cap representatives the scan raises EnumerationBudgetExceeded,
     past a time.monotonic() deadline EnumerationTimeout.
     """
-    values = _constrained(*_plan(eq))
+    values = _plan(eq).values
     reps = _iter_reps(eq, n, closing, deadline)
     if rep_cap is not None:
         reps = islice(reps, rep_cap + 1)
@@ -807,8 +836,8 @@ def _dp_sides(eq: Equation, n: int):
     filled.  groups holds every group, lhs first; sides holds (full
     index, groups) per side, so masks[-1] is the full rhs.  A side that
     needs more than DP_MASK_CAP masks raises OverflowGuardError first."""
-    plan, degree = _plan(eq), eq.degree
-    cap = _cap(*plan, n, degree)
+    plan = _plan(eq)
+    cap = plan.cap(n)
     capmask = (1 << (cap + 1)) - 1
     masks, sides = [], []
     for side in plan:
@@ -820,12 +849,12 @@ def _dp_sides(eq: Equation, n: int):
         masks += [1] + [0] * (count - 1)
         for g in side:
             if g.is_free:           # a free slot takes any value whose term fits in cap
-                top = _floor_root(cap // g.coefficient, degree)
+                top = _floor_root(cap // g.coefficient, eq.degree)
+                terms = plan.powers(g.coefficient, top)[1:top + 1]
                 for _ in range(g.size):
-                    masks[base] = reduce(or_, (masks[base] << g.coefficient * v**degree
-                                               for v in range(1, top + 1)), 0) & capmask
+                    masks[base] = reduce(or_, map(masks[base].__lshift__, terms), 0) & capmask
             else:
-                groups.append(([g.coefficient * v**degree for v in range(n + 1)], stride,
+                groups.append((plan.powers(g.coefficient, n)[:n + 1], stride,
                                [base + i for i in range(count) if i // stride % (g.size + 1)]))
                 stride *= g.size + 1
         sides.append((len(masks) - 1, groups))

@@ -1,4 +1,8 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +14,7 @@ from rado.equations import (
     family_equation,
     parse_equation,
 )
+from rado.solver import SearchParams, compute_rado, find_coloring
 
 
 def test_pythagorean_parse():
@@ -180,3 +185,29 @@ def test_holds():
     eq = parse_equation("x^2+y^2=z^2")
     assert eq.holds({"x": 3, "y": 4, "z": 5})
     assert not eq.holds({"x": 3, "y": 4, "z": 6})
+
+
+def test_solving_leaves_the_equation_as_parsed():
+    # the solver caches the equation's hash and its set-up; neither may
+    # change repr, ==, hash or a pickle, and the cached hash may not
+    # travel in a pickle, since another process hashes strings with
+    # another seed
+    text = "x+y=z"
+    eq = parse_equation(text)
+    assert compute_rado(eq, 2, SearchParams(n_cap=30)).value == 5
+    assert find_coloring(eq, 4, 2).coloring is not None
+    fresh = parse_equation(text)
+    assert (repr(eq), eq, hash(eq)) == (repr(fresh), fresh, hash(fresh))
+    data = pickle.dumps(eq)
+    back = pickle.loads(data)
+    assert (repr(back), back, hash(back)) == (repr(fresh), fresh, hash(fresh))
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import pickle, sys; from rado.equations import parse_equation; "
+         "eq = pickle.loads(sys.stdin.buffer.read()); "
+         f"print(eq == parse_equation({text!r}), hash(eq) == hash(parse_equation({text!r})))"],
+        input=data, capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed},
+        timeout=60, check=True,
+    )
+    assert child.stdout.split() == [b"True", b"True"]

@@ -396,6 +396,58 @@ def test_iter_reps_stream_is_pinned(monkeypatch, text, n, closing, reps, charge,
     assert hashlib.sha256(repr(stream).encode()).hexdigest() == digest
 
 
+def test_grown_power_tables_change_no_scan(monkeypatch):
+    # an equation's power tables are kept and grown across n (_plan): a
+    # table longer than a scan's bound must change no stream, order or
+    # charge against a table built cold for that scan alone
+    cases = [(parse_equation(text), n, closing) for text, n, closing in [
+        ("x1^2+x2^2+x3^2+x4^2=y1^2+y2^2+y3^2", 22, False),
+        ("x^2+y^2=z^2", 2000, False),
+        ("x^2+y^2=z^2", 300, True),
+        ("x^2+y^2+z^2=w^2", 105, True),
+        ("2x^2+2y^2=z^2+w^2+~a^2", 30, False),
+        ("x^2+y^2+2z^2=w^2", 60, True),
+        ("distinct: x+y=z", 40, False),
+        ("x0+2x1+x2+x3=2y0+y1+y2+y3+~f", 6, False),
+        ("9x^2+16y^2=~n^2", 40, False),
+    ]] + [(family_equation(9), 15, True)]
+    thm1 = parse_equation("x^2+y^2+z^2=w^2")
+    cases += [(thm1, n, True) for n in range(1, 85)]
+    total = charged(monkeypatch)
+
+    def scan(eq, n, closing):
+        total[0] = 0
+        stream = list(solutions._iter_reps(eq, n, closing))
+        return stream, total[0]
+
+    # the dp masks, weight lists and free seeds read the same tables
+    dp_cases = [(cases[i][0], cases[i][1]) for i in (4, 7, 8)] + [(thm1, 84)]
+    cold, cold_dp = [], []
+    for case in cases:
+        solutions._plan.cache_clear()
+        cold.append(scan(*case))
+    for eq, n in dp_cases:
+        solutions._plan.cache_clear()
+        cold_dp.append(solutions._dp_sides(eq, n))
+    pythagorean = parse_equation("x^2+y^2=z^2")
+    early = solutions._plan(pythagorean).powers(1, 10)
+    kept = list(early)
+    # one-shot Pythagorean [1, 4000]; the free ~n of 9x^2+16y^2=~n^2 runs
+    # to 5n; every other equation's tables are grown to 4000 directly
+    assert len(list(solutions._iter_reps(pythagorean, 4000))) == 4416
+    assert len(list(solutions._iter_reps(parse_equation("9x^2+16y^2=~n^2"), 500))) == 1643
+    for eq, _, _ in cases:
+        plan = solutions._plan(eq)
+        for g in plan.lhs + plan.rhs:
+            plan.powers(g.coefficient, 4000)
+    assert early == kept and len(early) == 11
+    assert solutions._plan(pythagorean).powers(1, 0)[:11] == kept
+    assert len(solutions._plan(parse_equation("9x^2+16y^2=~n^2")).powers(1, 0)) > 2500
+    for case, (stream, charge) in zip(cases, cold):
+        assert scan(*case) == (stream, charge), case[1:]
+    assert [solutions._dp_sides(eq, n) for eq, n in dp_cases] == cold_dp
+
+
 @pytest.mark.parametrize("k, n", [(4, 24), (8, 30)])
 def test_count_reps_fields_wider_than_a_byte(k, n):
     # each k-value assignment in [1, n] meets one ~f, so the count is
