@@ -18,7 +18,8 @@ by the slot before them, with one plain call per value (solve).  A pair
 is found by walking in from both ends of the power table; the walk is
 charged first, and skipped where the total is no residue the pair can
 take mod PAIR_MODULI, unless the reachability table below vouches for a
-pair.  On x^2+y^2+z^2=w^2 grown to n=84 that skips 1,393 of 2,018 walks.
+pair.  compute_rado on x^2+y^2+z^2=u^2+w^2, one n at a time, skips 13 of
+its 21 walks.
 
 The streamed side's innermost slot scans its values up to one bound,
 found by bisecting the power table, and probes each sum against the
@@ -42,6 +43,10 @@ per pass only where at least two slots loop, and only while largest
 probe total x slots x bound is at most REACH_TABLE_CAP.  The yields and
 their order stay the same, but a pruned subtree is never entered and so
 never charged: the clock is read less often than without the table.
+
+A window (low, n] enumerates only the solutions whose largest
+constrained value is past low (_scans); closing, the window (n-1, n],
+pins that value at n.
 
 A distinct: equation scans each constrained group strictly increasing,
 and _iter_reps drops each representative with a value repeated across
@@ -142,11 +147,14 @@ class SolutionTuple:
 @dataclass(frozen=True)
 class EdgeSet:
     """Hyperedges (distinct constrained values of solutions) within [1, n],
-    and how many solution representatives the scan behind them yielded."""
+    and how many solution representatives the scan behind them yielded:
+    for a window (build_hyperedges' low), also per largest value, low+1
+    first (closing_reps)."""
 
     n: int
     edges: tuple[tuple[int, ...], ...]
     reps: int = field(default=0, compare=False)
+    closing_reps: tuple[int, ...] = field(default=(), compare=False)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -224,27 +232,31 @@ def _plan(eq: Equation) -> _Plan:
 class _Scan:
     """Value ranges of one enumeration pass.
 
-    Every group scans [1, bound[g]]; the pinned group's last (largest)
-    slot is fixed at its bound.  powers maps a coefficient to
+    Every group scans [1, bound[g]], except the pivot group's last
+    (largest) slot, which scans [floor, bound[pivot]]; where floor is
+    that bound the slot is pinned.  powers maps a coefficient to
     [coefficient * v**degree for v in at least 0..b], b the largest bound
     of its groups and at least n; it is read only up to a group's bound.
     """
 
-    __slots__ = ("degree", "powers", "bound", "pinned")
+    __slots__ = ("degree", "powers", "bound", "pivot", "floor")
 
-    def __init__(self, degree, powers, bound, pinned=None):
+    def __init__(self, degree, powers, bound, pivot=None, floor=0):
         self.degree = degree
         self.powers = powers
         self.bound = bound
-        self.pinned = pinned
+        self.pivot = pivot
+        self.floor = floor
 
 
-def _scans(plan: _Plan, n: int, closing: bool, cap: int):
-    """The passes that enumerate [1, n], or with closing only the
-    solutions holding n: pass p pins constrained group p to n and bounds
-    the groups before it by n-1, so each solution is produced once, by the
-    first group (lhs then rhs) that holds n.  A free group is never pinned;
-    it is bounded by the largest value whose power fits in cap."""
+def _scans(plan: _Plan, n: int, low: int | None, cap: int):
+    """The passes that enumerate [1, n], or with low only the solutions
+    whose largest constrained value is in (low, n]: pass p lets the last
+    slot of constrained group p range over [low+1, n] and bounds the
+    groups before it by low, so each solution is produced once, by the
+    first group (lhs then rhs) that holds a value past low.  With low =
+    n-1 that slot is pinned at n.  A free group is never a pivot; it is
+    bounded by the largest value whose power fits in cap."""
     groups, degree = plan.lhs + plan.rhs, plan.degree
     bound = {
         g: _floor_root(cap // g.coefficient, degree) if g.is_free else n
@@ -255,32 +267,37 @@ def _scans(plan: _Plan, n: int, closing: bool, cap: int):
         reach[g.coefficient] = max(reach.get(g.coefficient, n), bound[g])
     powers = {c: plan.powers(c, top) for c, top in reach.items()}
     constrained = [g for g in groups if not g.is_free]
-    if not closing:
+    if low is None:
         return [_Scan(degree, powers, bound)]
     return [
-        _Scan(degree, powers, bound | dict.fromkeys(constrained[:p], n - 1), pivot)
+        _Scan(degree, powers, bound | dict.fromkeys(constrained[:p], low), pivot, low + 1)
         for p, pivot in enumerate(constrained)
     ]
 
 
 def _tail_min(groups, scan: _Scan) -> list[int]:
     """tail_min[i]: the least total of groups[i:], every slot at 1 except
-    a pinned slot, which sits at its bound."""
+    the pivot's last slot, which sits at its floor."""
     tail_min = [0] * (len(groups) + 1)
     for i in range(len(groups) - 1, -1, -1):
         g = groups[i]
         least = g.coefficient * g.size
-        if g == scan.pinned:
-            least += scan.powers[g.coefficient][scan.bound[g]] - g.coefficient
+        if g is scan.pivot:
+            least += scan.powers[g.coefficient][scan.floor] - g.coefficient
         tail_min[i] = tail_min[i + 1] + least
     return tail_min
 
 
 def _est_reps(groups: tuple[_Group, ...], scan: _Scan) -> int:
+    """How many non-decreasing assignments the groups have: per group,
+    those in [1, bound] less, for the pivot, those below its floor."""
     est = 1
     for g in groups:
-        scanned = g.size - (g == scan.pinned)
-        est *= comb(scan.bound[g] + scanned - 1, scanned)
+        s = g.size
+        ways = comb(scan.bound[g] + s - 1, s)
+        if g is scan.pivot:
+            ways -= comb(scan.floor + s - 2, s)
+        est *= ways
     return est
 
 
@@ -299,9 +316,9 @@ def _solve_last(coef, degree, remaining, lo):
     return v
 
 
-def _solve_pair(pw, coef, degree, remaining, lo, bound, budget, residues):
-    """Every (v, w) with lo <= v <= w <= bound and pw[v] + pw[w] equal to
-    remaining, walking in from both ends of the increasing table pw.
+def _solve_pair(pw, coef, degree, remaining, lo, bound, budget, residues, floor=0):
+    """Every (v, w) with lo <= v <= w <= bound, floor <= w and pw[v] + pw[w]
+    equal to remaining, walking in from both ends of the increasing table pw.
 
     The walk is charged before it starts, and skipped where remaining is
     no residue coef * (v**degree + w**degree) takes mod some modulus of
@@ -325,7 +342,8 @@ def _solve_pair(pw, coef, degree, remaining, lo, bound, budget, residues):
             pairs.append((v, w))
             v += 1
             w -= 1
-    return pairs
+    # the walk ignores the floor; a pair with w below it is dropped here
+    return [p for p in pairs if p[1] >= floor] if floor else pairs
 
 
 @lru_cache(maxsize=64)
@@ -431,16 +449,17 @@ class _Budget:
             self.left = CLOCK_CHECK_NODES
 
 
-def _iter_side(groups, scan, cap, probe, budget, strict=False):
+def _iter_side(groups, scan, tail_min, cap, probe, budget, strict=False):
     """Yield (total, values) for every canonical assignment of one side
     whose total is at most cap and, given a probe table, one of its keys.
     values is a tuple of per-group non-decreasing value tuples; with
     strict, a constrained group's values are strictly increasing.
+    tail_min is _tail_min(groups, scan).
 
-    Each slot scans up from the slot before it (a pinned slot sits at its
-    bound) to one bound: the last value that, in this slot and the later
-    slots of its group, keeps the side within cap less the later groups'
-    least total.  The last group's innermost slot takes its values from
+    Each slot scans up from the slot before it (the pivot's last slot
+    from its floor at least) to one bound: the last value that, in this
+    slot and the later slots of its group, keeps the side within cap less
+    the later groups' least total.  The last group's innermost slot takes its values from
     that range, or from the residue sieve's hits in it where the sieve
     pays, and tests each against the probe; it is charged one more than
     the range holds (1 without a probe).  When the probe holds only a few
@@ -451,7 +470,6 @@ def _iter_side(groups, scan, cap, probe, budget, strict=False):
     left cannot reach a probe total (_reach_rows), so a pruned subtree is
     never entered and never charged to the budget.
     """
-    tail_min = _tail_min(groups, scan)
     glast = len(groups) - 1
     totals = sieve = rows = solved = None
     residues, want = (), 0
@@ -459,7 +477,8 @@ def _iter_side(groups, scan, cap, probe, budget, strict=False):
         g = groups[glast]
         pw = scan.powers[g.coefficient]
         bound = scan.bound[g]
-        pin = g == scan.pinned
+        floor = scan.floor if g is scan.pivot else 0
+        pin = 0 < floor == bound
         if len(probe) <= EXACT_PROBE_TOTALS:
             totals = sorted(probe)
         elif not pin:
@@ -503,12 +522,14 @@ def _iter_side(groups, scan, cap, probe, budget, strict=False):
             found = []
             for t in totals:
                 if solved == top:
-                    v = _solve_last(coef, degree, t - part, bound if pin else lo)
+                    # a floored slot solved alone is pinned or a group's
+                    # only slot (lo = 1): its floor is its least value
+                    v = _solve_last(coef, degree, t - part, floor or lo)
                     if v is not None and v <= bound:
                         found.append((t, (v,)))
                 else:
                     for pair in _solve_pair(pw, coef, degree, t - part, lo, bound, budget,
-                                            residues):
+                                            residues, floor):
                         found.append((t, pair))
             budget.spend(len(totals) + 1)
             return found
@@ -518,7 +539,9 @@ def _iter_side(groups, scan, cap, probe, budget, strict=False):
         later = tail_min[gi + 1]
         pw = scan.powers[g.coefficient]
         bound = scan.bound[g]
-        pin = g == scan.pinned
+        floor = scan.floor if g is scan.pivot else 0
+        # a pinned slot sits at its bound, even past a strict slot before it
+        pin = 0 < floor == bound
         top = g.size - 1
         last = gi == glast
         # the least value of the next slot over the one before it
@@ -526,8 +549,8 @@ def _iter_side(groups, scan, cap, probe, budget, strict=False):
 
         def fill(slot, lo, part, vals):
             if slot == top:
-                if pin:
-                    lo = bound
+                if pin or lo < floor:
+                    lo = floor
                 # the values whose power keeps part and the later groups'
                 # least total within cap
                 hi = bisect_right(pw, cap - later - part, lo, bound + 1)
@@ -576,9 +599,10 @@ def _iter_side(groups, scan, cap, probe, budget, strict=False):
 
 
 def _iter_reps(eq: Equation, n: int, closing: bool = False,
-               deadline: float | None = None):
+               deadline: float | None = None, low: int | None = None):
     """Yield every canonical solution representative within [1, n]; with
-    closing, only those whose largest constrained value is n; on a
+    low, only those whose largest constrained value is in (low, n], and
+    with closing, only those whose largest is n (low = n-1); on a
     distinct: equation, only those whose constrained values are pairwise
     distinct: each constrained group is scanned strictly increasing, and
     a repeat across groups is filtered at the yield.
@@ -597,12 +621,14 @@ def _iter_reps(eq: Equation, n: int, closing: bool = False,
         values, width = plan.values, len(eq.constrained_variables)
     budget = _Budget(deadline)
     cap = plan.cap(n)
-    for scan in _scans(plan, n, closing, cap):
-        if _tail_min(lhs, scan)[0] > cap or _tail_min(rhs, scan)[0] > cap:
+    for scan in _scans(plan, n, n - 1 if closing else low, cap):
+        lhs_tail, rhs_tail = _tail_min(lhs, scan), _tail_min(rhs, scan)
+        if lhs_tail[0] > cap or rhs_tail[0] > cap:
             continue
         est_lhs, est_rhs = _est_reps(lhs, scan), _est_reps(rhs, scan)
         mat_lhs = est_lhs <= est_rhs
         mat_groups, stream_groups = (lhs, rhs) if mat_lhs else (rhs, lhs)
+        mat_tail, stream_tail = (lhs_tail, rhs_tail) if mat_lhs else (rhs_tail, lhs_tail)
         if min(est_lhs, est_rhs) > MATERIALIZE_CAP and cap >= sum(
             scan.powers[g.coefficient][scan.bound[g]] * g.size for g in mat_groups
         ):
@@ -610,12 +636,13 @@ def _iter_reps(eq: Equation, n: int, closing: bool = False,
             raise _too_dense()
         table: dict[int, list] = {}
         count = 0
-        for total, vals in _iter_side(mat_groups, scan, cap, None, budget, distinct):
+        for total, vals in _iter_side(mat_groups, scan, mat_tail, cap, None, budget, distinct):
             count += 1
             if count > MATERIALIZE_CAP:
                 raise _too_dense()
             table.setdefault(total, []).append(vals)
-        for total, svals in _iter_side(stream_groups, scan, cap, table, budget, distinct):
+        for total, svals in _iter_side(stream_groups, scan, stream_tail, cap, table, budget,
+                                       distinct):
             for mvals in table[total]:
                 rep = (mvals, svals) if mat_lhs else (svals, mvals)
                 if not distinct or len(set(values(rep))) == width:
@@ -639,7 +666,7 @@ def _count_reps(eq: Equation, n: int) -> int | None:
     check_overflow(eq, n)
     plan = _plan(eq)
     lhs, rhs, cap = plan.lhs, plan.rhs, plan.cap(n)
-    (scan,) = _scans(plan, n, False, cap)
+    (scan,) = _scans(plan, n, None, cap)
     widths = [next((w for w in (8, 16, 32, 64) if _est_reps(side, scan) < 1 << w), 0)
               for side in (lhs, rhs)]
     work = sum(scan.bound[g] * g.size * (cap + 1) * w
@@ -754,29 +781,41 @@ def build_hyperedges(
     rep_cap: int | None = None,
     closing: bool = False,
     deadline: float | None = None,
+    low: int | None = None,
 ) -> EdgeSet:
     """Deduplicated hyperedges (distinct constrained value sets) in [1, n],
     sorted by (largest value, tuple), and the number of solution
     representatives (_iter_reps) they came from.
 
-    With closing=True only the edges whose largest value is n are returned;
-    concatenating them for m = 1..n gives the edges of [1, n] in order.
-    Past rep_cap representatives the scan raises EnumerationBudgetExceeded,
-    past a time.monotonic() deadline EnumerationTimeout.
+    With low, the window (low, n]: only the edges whose largest value is
+    in it, and closing_reps counts the representatives of each largest
+    value.  closing=True is the window (n-1, n]: the edges whose largest
+    value is n.  Concatenating the windows of a split of [1, n] gives the
+    edges of [1, n] in order.  Past rep_cap representatives the scan
+    raises EnumerationBudgetExceeded, past a time.monotonic() deadline
+    EnumerationTimeout.
     """
+    if closing:
+        low = n - 1
     values = _plan(eq).values
-    reps = _iter_reps(eq, n, closing, deadline)
+    reps = _iter_reps(eq, n, deadline=deadline, low=low)
     if rep_cap is not None:
         reps = islice(reps, rep_cap + 1)
     seen: set[tuple[int, ...]] = set()
     count = 0
+    # representatives per largest value, tallied only where there are two
+    tally = [0] * (n - low) if low is not None and n - low > 1 else None
     for count, rep in enumerate(reps, 1):
-        seen.add(tuple(sorted(set(values(rep)))))
+        edge = tuple(sorted(set(values(rep))))
+        seen.add(edge)
+        if tally:
+            tally[edge[-1] - low - 1] += 1
     if rep_cap is not None and count > rep_cap:
         raise EnumerationBudgetExceeded()
     edges = sorted(seen)
     edges.sort(key=itemgetter(-1))  # stable, so in (largest value, tuple) order
-    return EdgeSet(n=n, edges=tuple(edges), reps=count)
+    closing_reps = tuple(tally) if tally else (count,) if low is not None else ()
+    return EdgeSet(n=n, edges=tuple(edges), reps=count, closing_reps=closing_reps)
 
 
 def edges_to_json(eq: Equation, edge_set: EdgeSet) -> dict:

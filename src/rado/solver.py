@@ -47,9 +47,10 @@ strikes over at most n vertices.  AUTO_EDGE_CAP representatives bound
 edge's memory whatever n is.  A forced edge backend, and auto on a
 distinct: equation, is refused past EDGE_BACKEND_CAP.  find_coloring
 asks the exact count (_count_reps) first and enumerates nothing when it
-decides; compute_rado's closing scans, and any instance too large to
-count, count representatives as they enumerate them, against the same
-bounds.  Each switch to dp is logged at info on the "rado" logger.
+decides; compute_rado's windows of bounds (_closing_edges), and any
+instance too large to count, count representatives as they enumerate
+them, against the same bounds.  Each switch to dp is logged at info on
+the "rado" logger.
 
 compute_rado's warm step extends the last witness to a new n before any
 search.  When no color extends it on edge with r >= 2, a walk (_walk)
@@ -76,7 +77,9 @@ from __future__ import annotations
 import itertools
 import logging
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .equations import Equation
 from .solutions import (
@@ -223,32 +226,46 @@ def _validate(n: int, r: int, eq: Equation | None = None, backend: str = "") -> 
         raise SolverError("backend 'dp' refuses a distinct: equation; use 'edge' or 'auto'")
 
 
-def _edges(eq, n, backend, deadline, closing=False, have=0):
-    """The EdgeSet of [1, n] (with closing, of the edges whose largest
-    value is n, given have representatives below n), or None for dp.
+def _slots(eq) -> int:
+    """The constrained variables of eq."""
+    return len(eq.lhs) + len(eq.rhs) - len(eq.free_vars)
+
+
+def _rep_cap(n, auto, slots) -> int:
+    """The most representatives of [1, n] the backend rule keeps on edge:
+    min(AUTO_EDGE_CAP, n*n // slots) for auto, else EDGE_BACKEND_CAP."""
+    return min(AUTO_EDGE_CAP, n * n // slots) if auto else EDGE_BACKEND_CAP
+
+
+def _edges(eq, n, backend, deadline, closing=False, have=0, low=None):
+    """The EdgeSet of [1, n] (with low, of the window of edges whose
+    largest value is in (low, n], given have representatives of [1, low];
+    closing is the window (n-1, n]), or None for dp.
 
     One rule on representatives of [1, n]: auto moves to dp past
     min(AUTO_EDGE_CAP, n*n // slots) of them, slots the constrained
     variables; edge, and auto on a distinct: equation, is refused past
     EDGE_BACKEND_CAP.  A one-shot call asks _count_reps first and
-    enumerates nothing when the count decides; a closing or uncounted
-    call counts representatives as it enumerates them.  Raises
-    EnumerationTimeout if the deadline passes while enumerating."""
+    enumerates nothing when the count decides; a window or uncounted
+    call counts representatives as it enumerates them.  A window of more
+    than one n past the cap raises EnumerationBudgetExceeded instead, so
+    that the caller splits it.  Raises EnumerationTimeout if the deadline
+    passes while enumerating."""
     if backend == "dp":
         return None
+    if closing:
+        low = n - 1
     auto = backend == "auto" and not eq.distinct_required
-    cap = AUTO_EDGE_CAP if auto else EDGE_BACKEND_CAP
-    slots = len(eq.lhs) + len(eq.rhs) - len(eq.free_vars)
-    dense = auto and n * n // slots < cap
-    if dense:
-        cap = n * n // slots
-    count = None if closing else _count_reps(eq, n)
+    slots = _slots(eq)
+    cap = _rep_cap(n, auto, slots)
+    dense = auto and cap < AUTO_EDGE_CAP
+    count = None if low is not None else _count_reps(eq, n)
     if count is None or count <= cap:
         try:
-            return build_hyperedges(eq, n, closing=closing, rep_cap=cap - have,
-                                    deadline=deadline)
+            return build_hyperedges(eq, n, rep_cap=cap - have, deadline=deadline, low=low)
         except EnumerationBudgetExceeded:
-            pass
+            if low is not None and n - low > 1:
+                raise
     if not auto:
         hint = ("a distinct: equation runs on edge only" if eq.distinct_required
                 else "use backend 'dp' or 'auto'")
@@ -264,6 +281,49 @@ def _edges(eq, n, backend, deadline, closing=False, have=0):
         why = f"more than AUTO_EDGE_CAP={cap:,} representatives"
     log.info("n=%d: %s, dp", n, why)
     return None
+
+
+def _doubling(eq) -> bool:
+    """Whether compute_rado enumerates blocks of bounds: where
+    representatives grow no faster than the n^2/slots dp-switch bound,
+    about as n^(slots - degree), so constrained slots - degree <= 2."""
+    return _slots(eq) - eq.degree <= 2
+
+
+def _closing_edges(eq, backend, n_cap, deadline):
+    """Yield, for n = 1, 2, ..., n_cap, the edges whose largest value is
+    n, in (max, tuple) order; or None, and stop, where the backend rule
+    moves auto to dp at n.  Raises SolverError where it refuses edge.
+
+    Where _doubling holds, one enumeration (a window of _edges) covers
+    each block of bounds (n-1, min(2n, n_cap)], and each n gets its slice
+    of it; elsewhere each block is one n.  The rule is checked at each n
+    from the window's count per largest value.  A block past the cap, at
+    its end or at some n in it, is enumerated one n at a time from its
+    first n not yet handed out, so auto moves to dp (and logs), or edge
+    is refused, at the same n as with no blocks."""
+    auto = backend == "auto" and not eq.distinct_required
+    slots, blocks = _slots(eq), _doubling(eq)
+    have = low = split = 0      # representatives of [1, low]; blocks resume at split
+    while low < n_cap:
+        hi = min(2 * low + 2, n_cap) if blocks and low >= split else low + 1
+        try:
+            found = _edges(eq, hi, backend, deadline, have=have, low=low)
+        except EnumerationBudgetExceeded:
+            split = hi
+            continue
+        if found is None:
+            yield None
+            return
+        start = 0
+        for m, count in enumerate(found.closing_reps, low + 1):
+            if have + count > _rep_cap(m, auto, slots):
+                split = hi
+                break
+            have, low = have + count, m
+            stop = bisect_right(found.edges, m, start, key=itemgetter(-1))
+            yield found.edges[start:stop]
+            start = stop
 
 
 def _index(incident, edges, start, n):
@@ -565,9 +625,12 @@ def compute_rado(
     (_walk) recolors from the witness, and when that gives up too, a full
     search runs for that n.  Bounds are reported from the first n that
     closes a solution.  The edge list grows by the edges closing at each
-    new n, under the backend rule of find_coloring for [1, n], and its
-    incidence lists catch up before each walk or edge search; once on
-    dp, auto stays there, and the warm step's per-class masks
+    new n, under the backend rule of find_coloring for [1, n]; they come
+    from one enumeration per block of bounds (n-1, min(2n, n_cap)] where
+    _doubling holds, else one per n (_closing_edges), so a deadline
+    inside a block's enumeration ends the run at the bound before the
+    block.  The incidence lists catch up before each walk or edge search;
+    once on dp, auto stays there, and the warm step's per-class masks
     (_kept_masks) are kept across n, rebuilt from the witness past their
     size, on the switch to dp and after a cold search.
     """
@@ -577,9 +640,9 @@ def compute_rado(
     bounds: list[BoundReport] = []
     # every edge of [1, n], by (max, tuple); None once the search is on dp
     edges: list[tuple[int, ...]] | None = [] if params.backend != "dp" else None
+    windows = _closing_edges(eq, params.backend, params.n_cap, deadline)
     incident: list[list[int]] = []       # _index of edges[:indexed]
     indexed = 0
-    reps = 0                              # the representatives behind edges
     colors: list[int] = []                # the witness: colors[v-1] is v's color
     kept = None                           # the dp warm step's masks (_try_extend)
     cold_nodes = 0                        # the nodes of the last cold bound
@@ -590,15 +653,13 @@ def compute_rado(
         closing = None
         if edges is not None:
             try:
-                found = _edges(eq, n, params.backend, deadline, closing=True, have=reps)
+                closing = next(windows)
             except EnumerationTimeout:
                 break
-            if found is None:
+            if closing is None:
                 edges = None
             else:
-                closing = found.edges
                 edges.extend(closing)
-                reps += found.reps
         if edges is None:
             check_overflow(eq, n)
             if kept is None or n > kept[0]:

@@ -262,6 +262,46 @@ def test_sieve_charges_the_plain_scan_budget(monkeypatch):
     assert total[0] == 1_571_916
 
 
+@pytest.mark.parametrize("text, distinct, top", [
+    ("x+y=z", False, 60),
+    ("x+y=z", True, 60),
+    ("x^2+y^2=~a^2+2z^2", False, 40),         # a free variable
+    ("x^2+y^2+2z^2=w^2", False, 60),          # two coefficient groups
+    ("x^2+y^2+z^2=w^2", False, 84),           # Theorem 1
+    ("x^2+y^2=z^2", False, 400),
+    ("x1^2+x2^2+x3^2+x4^2+x5^2=y1^2+y2^2", False, 12),
+])
+def test_windows_concatenate_to_closing_scans(text, distinct, top):
+    # a window (low, n] gives the edges whose largest value is in it, in
+    # (max, tuple) order, and its representatives per largest value: those
+    # of the closing scans of low+1..n, over the windows of one n, the
+    # whole of [1, top], and seeded random splits of it.  A split's window
+    # is at most two past its low wide, so the early ones are narrow: only
+    # there does a side have few totals against a floored slot, which the
+    # few-totals paths then solve
+    eq = parse_equation(text, distinct=distinct)
+    closing = [build_hyperedges(eq, m, closing=True) for m in range(1, top + 1)]
+    for m, es in enumerate(closing, start=1):
+        assert all(e[-1] == m for e in es.edges), (text, m)
+    rng = random.Random(f"{text}:{distinct}:{top}")
+    splits = []
+    for _ in range(4):
+        split = [0]
+        while split[-1] < top:
+            split.append(min(top, split[-1] + rng.randint(1, split[-1] + 2)))
+        splits.append(split)
+    for cuts in (range(top + 1), (0, top), *splits):
+        for low, n in zip(cuts, cuts[1:]):
+            window = build_hyperedges(eq, n, low=low)
+            assert window.edges == tuple(e for es in closing[low:n] for e in es.edges), (
+                text, low, n)
+            assert window.closing_reps == tuple(es.reps for es in closing[low:n]), (text, low, n)
+            assert window.reps == sum(window.closing_reps)
+    one_shot = build_hyperedges(eq, top)
+    assert build_hyperedges(eq, top, low=0).edges == one_shot.edges
+    assert sum(es.reps for es in closing) == one_shot.reps
+
+
 def test_reach_table_off(monkeypatch):
     # the streamed side's reachability table prunes only subtrees that
     # yield nothing: with it never built the oracles give the same answers

@@ -325,7 +325,7 @@ class FakeClock:
 
 
 def test_rado_budget_gives_lower_bound(monkeypatch):
-    # the whole run reads the clock about 1,400 times; at 1e-4 s a read
+    # the whole run reads the clock about 1,100 times; at 1e-4 s a read
     # the 0.05 s budget runs out after 500, whatever the host's speed
     clock = FakeClock(step=1e-4)
     monkeypatch.setattr(solver, "time", clock)
@@ -393,27 +393,31 @@ def test_search_loops_stop_within_check_interval(monkeypatch, backend, eq, n, in
 
 
 def test_rado_deadline_covers_enumeration(monkeypatch):
+    # Schur enumerates blocks of bounds: a deadline that passes inside the
+    # enumeration covering n=10 stops the run at the last bound before
+    # that enumeration, and no bound from its first n on is reported
     clock = FakeClock()
     monkeypatch.setattr(solver, "time", clock)
     monkeypatch.setattr(solutions, "time", clock)
-    enumerate_closing = solver.build_hyperedges
+    enumerate_window = solver.build_hyperedges
     timed_out = []
 
-    def late(eq, n, **kwargs):
-        if n == 10:
+    def late(eq, n, *, low, **kwargs):
+        if low < 10 <= n:
             clock.now = 1000.0     # the deadline passes inside this enumeration
         try:
-            return enumerate_closing(eq, n, **kwargs)
+            return enumerate_window(eq, n, low=low, **kwargs)
         except EnumerationTimeout:
-            timed_out.append(n)
+            timed_out.append((low, n))
             raise
 
     monkeypatch.setattr(solver, "build_hyperedges", late)
     out = compute_rado(SCHUR, 3, SearchParams(time_budget=100))
-    assert timed_out == [10]
-    assert (out.kind, out.value) == (LOWER_BOUND, 9)
-    assert out.witness.n == 9
-    assert max(b.n for b in out.bounds) == 9
+    ((low, hi),) = timed_out
+    assert low < 10 < hi            # a block, not the single n=10
+    assert (out.kind, out.value) == (LOWER_BOUND, low)
+    assert out.witness.n == low
+    assert max(b.n for b in out.bounds) == low
     assert_valid(SCHUR, out.witness)
 
 
@@ -867,6 +871,111 @@ def test_auto_takes_dp_past_n_squared_over_slots(caplog):
     ]
     # a forced edge backend keeps EDGE_BACKEND_CAP alone
     assert solver._edges(eq, 5, "edge", math.inf).reps == 9
+
+
+def run_record(eq, r, params=None):
+    """A compute_rado run as compared across block sizes: its verdict,
+    witness and every bound but its elapsed time."""
+    out = compute_rado(eq, r, params)
+    return out.kind, out.value, out.witness, [
+        (b.n, b.verdict, b.backend, b.warm, b.nodes, b.propagations, b.flips)
+        for b in out.bounds]
+
+
+def spy_windows(monkeypatch):
+    """The (low, n) of each window compute_rado asks solver.build_hyperedges for."""
+    asked, build = [], solver.build_hyperedges
+
+    def spy(eq, n, *, low, **kwargs):
+        asked.append((low, n))
+        return build(eq, n, low=low, **kwargs)
+
+    monkeypatch.setattr(solver, "build_hyperedges", spy)
+    return asked
+
+
+@pytest.mark.parametrize("text, r, n_cap", [
+    ("x+y=z", 3, 10_000),
+    ("distinct: x+y=z", 3, 10_000),
+    ("x+y=2w", 3, 10_000),
+    ("x^2+y^2+z^2=w^2", 2, 10_000),
+    ("x^2+y^2+2z^2=w^2", 2, 10_000),
+    ("x^2+y^2=~a^2+2z^2", 2, 10_000),
+    ("x^2+y^2=z^2", 2, 700),
+])
+def test_blocks_change_no_run(monkeypatch, text, r, n_cap):
+    # one enumeration per block of bounds hands each n the edges a closing
+    # scan at n gives: the same bounds, flips and witness as one per n
+    eq = parse_equation(text)
+    asked = spy_windows(monkeypatch)
+    blocked = run_record(eq, r, SearchParams(n_cap=n_cap))
+    assert solver._doubling(eq) and any(n - low > 1 for low, n in asked)
+    monkeypatch.setattr(solver, "_doubling", lambda eq: False)
+    asked.clear()
+    assert run_record(eq, r, SearchParams(n_cap=n_cap)) == blocked
+    assert all(n - low == 1 for low, n in asked)
+
+
+def assert_same_switch(monkeypatch, caplog, eq, r, switch, n_cap):
+    """auto moves eq to dp at n=switch, with the one log line and the
+    run up to n_cap of a compute_rado with no blocks."""
+    caplog.set_level(logging.INFO, logger="rado")
+    asked = spy_windows(monkeypatch)
+    blocked = run_record(eq, r, SearchParams(n_cap=n_cap))
+    logged = caplog.messages[:]
+    assert any(low < switch < n for low, n in asked)     # a block held it
+    monkeypatch.setattr(solver, "_doubling", lambda eq: False)
+    caplog.clear()
+    assert run_record(eq, r, SearchParams(n_cap=n_cap)) == blocked
+    assert caplog.messages == logged
+    assert len(logged) == 1 and logged[0].startswith(f"n={switch}: ")
+    assert next(b[0] for b in blocked[3] if b[2] == "dp") == switch
+
+
+def test_block_past_the_cap_at_its_end(monkeypatch, caplog):
+    # Theorem 1's [1, 30] has 52 representatives and [1, 62] 217: the
+    # block (30, 62] passes a cap of 100 at its end and is enumerated
+    # again one n at a time
+    monkeypatch.setattr(solver, "AUTO_EDGE_CAP", 100)
+    assert_same_switch(monkeypatch, caplog, family_equation(3), 2, 42, 50)
+
+
+def test_block_past_the_cap_inside_it(monkeypatch, caplog):
+    # x+y=z's [1, 5] has 6 representatives and [1, 6] 9: with a cap of 5
+    # at n=5 alone the block (2, 6] stays under it at its end, and the
+    # count per largest value finds n=5
+    rule = solver._rep_cap
+    monkeypatch.setattr(solver, "_rep_cap",
+                        lambda n, auto, slots: 5 if n == 5 else rule(n, auto, slots))
+    assert_same_switch(monkeypatch, caplog, SCHUR, 3, 5, 14)
+
+
+def test_edge_refused_at_the_same_n(monkeypatch):
+    # a block the forced edge backend would refuse is enumerated again one
+    # n at a time, so the refusal comes at the n of a run with no blocks
+    monkeypatch.setattr(solver, "EDGE_BACKEND_CAP", 100)
+    asked = spy_windows(monkeypatch)
+
+    def refused():
+        asked.clear()
+        with pytest.raises(SolverError, match="edge backend refused"):
+            compute_rado(family_equation(3), 2, SearchParams(backend="edge"))
+        return asked[-1]
+
+    assert refused() == (41, 42) and (30, 62) in asked
+    monkeypatch.setattr(solver, "_doubling", lambda eq: False)
+    assert refused() == (41, 42)
+
+
+def test_k_squares_row_asks_one_n_at_a_time(monkeypatch):
+    # x1^2+...+x5^2 = z^2 has 6 slots: its representatives outgrow n²,
+    # so a block would be enumerated past the n auto takes dp at
+    eq = family_equation(5)
+    assert not solver._doubling(eq)
+    asked = spy_windows(monkeypatch)
+    out = compute_rado(eq, 2)
+    assert (out.kind, out.value) == (EXACT, 23)
+    assert asked and all(n - low == 1 for low, n in asked)
 
 
 def test_k_squares_row_runs_on_dp():
