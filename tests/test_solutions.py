@@ -270,6 +270,8 @@ def test_sieve_charges_the_plain_scan_budget(monkeypatch):
     ("x^2+y^2+z^2=w^2", False, 84),           # Theorem 1
     ("x^2+y^2=z^2", False, 400),
     ("x1^2+x2^2+x3^2+x4^2+x5^2=y1^2+y2^2", False, 12),
+    ("x^2+y^2+z^2=w^2", True, 60),            # strict slots under floored reach rows
+    ("x1^2+x2^2+x3^2+x4^2=y1^2+y2^2+y3^2", False, 16),  # a floored pivot on either side
 ])
 def test_windows_concatenate_to_closing_scans(text, distinct, top):
     # a window (low, n] gives the edges whose largest value is in it, in
@@ -396,6 +398,24 @@ def test_reach_table_spares_the_budget(monkeypatch, table_cap, charge):
     assert total[0] == charge
 
 
+def test_thm1_windows_honor_their_floor(monkeypatch):
+    # compute_rado's blocks for Theorem 1 to 84: no window streams values
+    # its floor rules out (reach rows from the floored slot, the innermost
+    # slot from the least probe total), so together they charge less than
+    # one scan of [1, 84]
+    eq = parse_equation("x^2+y^2+z^2=w^2")
+    total = charged(monkeypatch)
+    blocks = []
+    for low, n in ((0, 2), (2, 6), (6, 14), (14, 30), (30, 62), (62, 84)):
+        total[0] = 0
+        build_hyperedges(eq, n, low=low)
+        blocks.append(total[0])
+    assert blocks == [8, 16, 62, 461, 3445, 2835]
+    total[0] = 0
+    assert len(build_hyperedges(eq, 84)) == 405
+    assert sum(blocks) < total[0] == 16085
+
+
 @pytest.mark.parametrize("text, n, closing, reps, charge, digest", [
     pytest.param("x1^2+x2^2+x3^2+x4^2=y1^2+y2^2+y3^2", 22, False, 23138, 13375,
                  "7578d26ef190a4fbe6d475795d7d42fe74bcf1c327b608ed93cc7bc17d5c44d9",
@@ -412,7 +432,7 @@ def test_reach_table_spares_the_budget(monkeypatch, table_cap, charge):
     pytest.param(9, 15, True, 155, 1429,
                  "b94c3098a539469b6c13f8f533b708e4dc8e712eb498150a7585c306de7e0573",
                  id="closing-reach-rows"),
-    pytest.param("2x^2+2y^2=z^2+w^2+~a^2", 30, False, 3453, 25565,
+    pytest.param("2x^2+2y^2=z^2+w^2+~a^2", 30, False, 3453, 25564,
                  "5a2ea3cf199029924278a1b5364fb1bc87f37bb63f686ba7994efb8826d94d3e",
                  id="free"),
     pytest.param("x^2+y^2+2z^2=w^2", 60, True, 16, 2846,
@@ -651,7 +671,7 @@ def test_distinct_filters_the_plain_representatives(text, n, closing):
 
 @pytest.mark.parametrize("text, n, closing, plain_charge, distinct_charge", [
     ("x0+x1+x2+x3+x4=y0+y1+y2+y3+y4", 12, False, 8008, 2340),
-    ("x0+x1+x2+x3+x4=y0+y1+y2+y3+y4", 12, True, 14184, 4178),
+    ("x0+x1+x2+x3+x4=y0+y1+y2+y3+y4", 12, True, 13969, 4127),
     ("x0+2x1+x2+x3=2y0+y1+y2+y3+~f", 8, False, 20070, 9398),
     ("x^2+y^2+z^2=w^2", 105, True, 3822, 3740),   # a solved pair, y < z
 ])
