@@ -1,6 +1,12 @@
 """Published coloring certificates: a small text format plus a verifier
 that re-enumerates solutions instead of trusting any solver state.
 
+The verifier asks the enumerator (solutions._iter_reps) for the
+monochromatic representatives only: each side is filtered to one color
+before the join, so its cost follows the monochromatic sides, not every
+solution in [1, n].  It shares the enumerator with the search and the
+CNF export, so it is independent of the solver, not of the enumerator.
+
 Format (LF line endings)::
 
     rado-cert v1
@@ -118,13 +124,21 @@ def verify(cert: Certificate) -> Verdict:
     """Re-parse the equation, re-enumerate all solutions in [1, n], and
     accept iff none is monochromatic under the certificate's coloring.
 
-    Never raises: malformed certificates yield a malformed verdict, and a
-    rejected one reports a concrete violating solution.
+    The enumeration yields only monochromatic representatives, each side
+    filtered to one color before they are paired, in the order of the
+    full scan; the first one is the violation reported.
+
+    Never raises: malformed certificates (n, r or a color that is no
+    int, a bool included) yield a malformed verdict, and a rejected one
+    reports a concrete violating solution.
     """
     try:
         eq = parse_equation(cert.equation)
     except EquationError as exc:
         return Verdict(MALFORMED, reason=f"equation: {exc}")
+    if type(cert.n) is not int or type(cert.r) is not int:
+        return Verdict(MALFORMED,
+                       reason=f"n and r must be integers, got {cert.n!r} and {cert.r!r}")
     if cert.n < 0:
         return Verdict(MALFORMED, reason=f"negative n {cert.n}")
     if cert.r < 1:
@@ -134,29 +148,21 @@ def verify(cert: Certificate) -> Verdict:
             MALFORMED,
             reason=f"{len(cert.colors)} colors for n={cert.n}",
         )
-    if any(not 1 <= c <= cert.r for c in cert.colors):
+    if not set(map(type, cert.colors)) <= {int}:
+        return Verdict(MALFORMED, reason="colors must be integers")
+    if cert.colors and not 1 <= min(cert.colors) <= max(cert.colors) <= cert.r:
         return Verdict(MALFORMED, reason="color out of range 1..r")
 
     if cert.n == 0:
         return Verdict(VALID)
-    chi = (0, *cert.colors)
     try:
-        color = chi.__getitem__
-        plan = _plan(eq)
-        lhs, rhs, values = plan.lhs, plan.rhs, plan.values
-        # (side, group) of the first and of the last constrained group: a
-        # monochromatic representative colors their end vertices alike
-        ends = [(s, i) for s, side in enumerate((lhs, rhs))
-                for i, g in enumerate(side) if not g.is_free]
-        (s0, g0), (s1, g1) = ends[0], ends[-1]
-        for rep in _iter_reps(eq, cert.n):
-            if (chi[rep[s0][g0][0]] == chi[rep[s1][g1][-1]]
-                    and len(set(map(color, values(rep)))) == 1):
-                # the one SolutionTuple built: the violation reported
-                return Verdict(INVALID, violation=next(_to_solutions(lhs, rhs, [rep])))
+        rep = next(_iter_reps(eq, cert.n, color=(0, *cert.colors)), None)
     except (SolutionCapError, OverflowGuardError) as exc:
         return Verdict(MALFORMED, reason=f"cannot enumerate [1, {cert.n}]: {exc}")
-    return Verdict(VALID)
+    if rep is None:
+        return Verdict(VALID)
+    # the one SolutionTuple built: the violation reported
+    return Verdict(INVALID, violation=next(_to_solutions(*_plan(eq), [rep])))
 
 
 def verify_text(text: str) -> Verdict:

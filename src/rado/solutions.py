@@ -58,6 +58,17 @@ and _iter_reps drops each representative with a value repeated across
 groups; no other enumeration path reads the marker.  dp_feasible
 decides a distinct: equation from the edges closing at its pivot,
 enumerated at each call.
+
+Given a coloring (certificate.verify), _iter_reps yields only the
+monochromatic representatives, and filters each side to one color
+before the join rather than each representative after it: one table
+per color keeps that color's monochromatic assignments, and a streamed
+assignment of two colors is dropped before it is paired.  The stream keeps its order,
+so the first representative is the unfiltered stream's first
+monochromatic one.  For the stored 4 = 3 squares witness on [1, 22],
+r=3, the table keeps 234 of its 849 totals, the stream yields 2,477
+assignments instead of 8,675, and none of them pairs, where the scan
+without the coloring yields 23,138 representatives.
 """
 
 from __future__ import annotations
@@ -616,21 +627,59 @@ def _iter_side(groups, scan, tail_min, cap, probe, budget, strict=False):
     yield from rec(0, 0, ())
 
 
+def _side_color(groups, color):
+    """vals -> the one color that color (indexed by value) gives a side
+    assignment's constrained values, or 0 where they take two; None for
+    a side with no constrained value, which goes with any color."""
+    slots = [i for i, g in enumerate(groups) if not g.is_free]
+    if not slots:
+        return None
+    if len(slots) == 1 and groups[slots[0]].size == 1:
+        (i,) = slots
+        return lambda vals: color[vals[i][0]]
+
+    first = slots[0]
+
+    def mono(vals):
+        c = color[vals[first][0]]
+        for i in slots:
+            for v in vals[i]:
+                if color[v] != c:
+                    return 0
+        return c
+    return mono
+
+
 def _iter_reps(eq: Equation, n: int, closing: bool = False,
-               deadline: float | None = None, low: int | None = None):
+               deadline: float | None = None, low: int | None = None,
+               color: tuple[int, ...] | None = None):
     """Yield every canonical solution representative within [1, n]; with
     low, only those whose largest constrained value is in (low, n], and
     with closing, only those whose largest is n (low = n-1); on a
     distinct: equation, only those whose constrained values are pairwise
     distinct: each constrained group is scanned strictly increasing, and
-    a repeat across groups is filtered at the yield.
+    a repeat across groups is filtered at the yield.  With color, a
+    sequence indexed by value, only those whose constrained values all
+    take one color, in the order the scan without it yields them.
 
     A representative is a (lhs, rhs) pair of per-group value tuples.  Each
     pass materializes the side with fewer estimated assignments into a
     total -> values table and streams the other side against it.  A pass
     where either side's least total is past cap yields nothing and is
     skipped before anything is built: in a closing scan of x1^2+...+xk^2
-    = z^2, the pass that pins the lhs at n starts at n^2 + k - 1."""
+    = z^2, the pass that pins the lhs at n starts at n^2 + k - 1.
+
+    With color, each side is filtered to one color before the join: one
+    table per color keeps, per total, that color's monochromatic
+    assignments (every assignment still counts toward MATERIALIZE_CAP),
+    and each streamed assignment is paired only with the entries of its
+    own color.  A side with no constrained value goes with any color, so
+    neither side is then keyed by its color.  The probe holds only the
+    totals that keep an entry, unless they are at most
+    EXACT_PROBE_TOTALS and all totals are more: the solved slots yield
+    per total, not in scan order, so there every total stays, some with
+    no entry.  A pass that keeps no entry is skipped before its
+    stream."""
     check_overflow(eq, n)
     plan = _plan(eq)
     lhs, rhs = plan.lhs, plan.rhs
@@ -652,16 +701,47 @@ def _iter_reps(eq: Equation, n: int, closing: bool = False,
         ):
             # no assignment exceeds cap, so the estimate is the exact count
             raise _too_dense()
-        table: dict[int, list] = {}
         count = 0
-        for total, vals in _iter_side(mat_groups, scan, mat_tail, cap, None, budget, distinct):
-            count += 1
-            if count > MATERIALIZE_CAP:
-                raise _too_dense()
-            table.setdefault(total, []).append(vals)
-        for total, svals in _iter_side(stream_groups, scan, stream_tail, cap, table, budget,
+        if color is None:
+            table: dict[int, list] = {}
+            for total, vals in _iter_side(mat_groups, scan, mat_tail, cap, None, budget,
+                                          distinct):
+                count += 1
+                if count > MATERIALIZE_CAP:
+                    raise _too_dense()
+                table.setdefault(total, []).append(vals)
+            probe = table
+        else:
+            mat_color = _side_color(mat_groups, color)
+            stream_color = _side_color(stream_groups, color)
+            if mat_color is None or stream_color is None:
+                # every monochromatic assignment takes the one key 1
+                mat_color, stream_color = (
+                    (lambda vals: 1) if f is None else (lambda vals, f=f: f(vals) and 1)
+                    for f in (mat_color, stream_color))
+            # one table per key; key 0 (two colors) stays empty, so a
+            # streamed assignment of two colors finds no entry
+            tables = {c: {} for c in {0, 1, *color}}
+            dropped = set()
+            for total, vals in _iter_side(mat_groups, scan, mat_tail, cap, None, budget,
+                                          distinct):
+                count += 1
+                if count > MATERIALIZE_CAP:
+                    raise _too_dense()
+                c = mat_color(vals)
+                if c:
+                    tables[c].setdefault(total, []).append(vals)
+                else:
+                    dropped.add(total)
+            probe = set().union(*tables.values())
+            if not probe:
+                continue
+            if len(probe) <= EXACT_PROBE_TOTALS < len(probe | dropped):
+                probe |= dropped
+        for total, svals in _iter_side(stream_groups, scan, stream_tail, cap, probe, budget,
                                        distinct):
-            for mvals in table[total]:
+            for mvals in (table[total] if color is None
+                          else tables[stream_color(svals)].get(total, ())):
                 rep = (mvals, svals) if mat_lhs else (svals, mvals)
                 if not distinct or len(set(values(rep))) == width:
                     yield rep

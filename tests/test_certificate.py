@@ -71,6 +71,7 @@ def group_by_group_solutions(eq, n):
     ("~a+2x+2y=3z", 12, 3),
     ("x+y=z+2~a", 14, 2),
     ("x^2+y^2=~a^2", 30, 2),
+    ("x^2+y^2=z^2+w^2", 12, 3),
 ])
 def test_invalid_violation_is_the_first_monochromatic_solution(text, n, r):
     eq = parse_equation(text)
@@ -176,6 +177,21 @@ def test_malformed_certificates():
     assert verify(Certificate("x+y=z", 2, 2, (1, 3))).status == MALFORMED
     assert verify(Certificate("x+y=z", 2, 0, (1, 1))).status == MALFORMED
     assert verify(Certificate("not an equation", 1, 1, (1,))).status == MALFORMED
+
+
+@pytest.mark.parametrize("n, r, colors", [
+    ("2", 2, (1, 2)),
+    (2.0, 2, (1, 2)),
+    (2, 2.0, (1, 2)),
+    (True, 2, (1,)),
+    (2, True, (1, 1)),
+    (2, 2, ("a", 1)),
+    (2, 2, (1.0, 2)),
+    (2, 2, (True, 2)),
+])
+def test_verify_non_int_fields_are_malformed(n, r, colors):
+    # verify never raises: a field that is no int (a bool is none) is malformed
+    assert verify(Certificate("x+y=z", n, r, colors)).status == MALFORMED
 
 
 def test_verify_past_enumeration_cap_is_malformed(monkeypatch):

@@ -508,6 +508,42 @@ def test_grown_power_tables_change_no_scan(monkeypatch):
     assert [solutions._dp_sides(eq, n) for eq, n in dp_cases] == cold_dp
 
 
+@pytest.mark.parametrize("text, n", [
+    # the one-shot cases of test_iter_reps_stream_is_pinned
+    ("x1^2+x2^2+x3^2+x4^2=y1^2+y2^2+y3^2", 22),
+    ("x^2+y^2=z^2", 2000),
+    ("2x^2+2y^2=z^2+w^2+~a^2", 30),
+    ("distinct: x+y=z", 40),
+    ("x0+2x1+x2+x3=2y0+y1+y2+y3+~f", 6),
+    # the lhs is materialized; under (1, 2, 1) it keeps the totals 2, 8,
+    # 10 and 18 of six, so the streamed rhs must not be solved per total:
+    # that yields (2, 2) before (1, 3), the scan (1, 3) first
+    ("x^2+y^2=z^2+w^2", 3),
+    ("distinct: x^2+y^2=z^2+w^2", 30),
+    # a side with no constrained value, materialized, then streamed
+    ("x^2+y^2=~a^2", 30),
+    ("x^2=~a^2+~b^2", 30),
+])
+def test_colored_stream_is_the_monochromatic_stream(text, n):
+    # verify reports the first representative of the colored stream: it
+    # must be the unfiltered stream's monochromatic ones, in its order
+    eq = parse_equation(text)
+    values = solutions._plan(eq).values
+    full = list(solutions._iter_reps(eq, n))
+    rng = random.Random(text)
+    colorings = [(0,) + tuple(rng.randint(1, r) for _ in range(n)) for r in (2, 3) for _ in range(10)]
+    for chi in colorings:
+        mono = [rep for rep in full if len({chi[v] for v in values(rep)}) == 1]
+        assert list(solutions._iter_reps(eq, n, color=chi)) == mono
+    if text == "x^2+y^2=z^2+w^2":
+        # some coloring keeps few enough of the materialized lhs's totals
+        # for the streamed side to be solved, and the full table has more
+        pairs = list(itertools.combinations_with_replacement(range(1, n + 1), 2))
+        assert len({x * x + y * y for x, y in pairs}) > solutions.EXACT_PROBE_TOTALS
+        assert any(len({x * x + y * y for x, y in pairs if chi[x] == chi[y]})
+                   <= solutions.EXACT_PROBE_TOTALS for chi in colorings)
+
+
 @pytest.mark.parametrize("k, n", [(4, 24), (8, 30)])
 def test_count_reps_fields_wider_than_a_byte(k, n):
     # each k-value assignment in [1, n] meets one ~f, so the count is
@@ -724,6 +760,18 @@ def test_materialize_cap_refuses_mid_scan(monkeypatch):
     assert "MATERIALIZE_CAP=5 " in verdict.reason
     monkeypatch.setattr(solutions, "MATERIALIZE_CAP", 6)
     assert len(build_hyperedges(eq, 10).edges) == 44
+
+
+def test_verify_counts_every_materialized_assignment(monkeypatch):
+    # 2x+2y is materialized: 46 of its assignments on [1, 10] are within
+    # the cap 30, 24 of them one color under 1 2 1 2 ...; verify keeps
+    # only those 24 but counts all 46 toward the cap, as the scan does
+    monkeypatch.setattr(solutions, "MATERIALIZE_CAP", 30)
+    with pytest.raises(SolutionCapError, match="MATERIALIZE_CAP=30 "):
+        build_hyperedges(parse_equation("2x+2y=z+w+u"), 10)
+    verdict = verify(Certificate("2x+2y=z+w+u", 10, 2, (1, 2) * 5))
+    assert verdict.status == MALFORMED
+    assert "MATERIALIZE_CAP=30 " in verdict.reason
 
 
 def test_overflow_guard():
