@@ -1,11 +1,12 @@
 """Published coloring certificates: a small text format plus a verifier
 that re-enumerates solutions instead of trusting any solver state.
 
-The verifier asks the enumerator (solutions._iter_reps) for the
-monochromatic representatives only: each side is filtered to one color
-before the join, so its cost follows the monochromatic sides, not every
-solution in [1, n].  It shares the enumerator with the search and the
-CNF export, so it is independent of the solver, not of the enumerator.
+The verifier asks the enumerator (solutions.iter_canonical_solutions,
+given the coloring) for the monochromatic solutions only: each side is
+filtered to one color before the join, so its cost follows the
+monochromatic sides, not every solution in [1, n].  It shares the
+enumerator with the search and the CNF export, so it is independent of
+the solver, not of the enumerator.
 
 Format (LF line endings)::
 
@@ -28,10 +29,7 @@ from .solutions import (
     OverflowGuardError,
     SolutionCapError,
     SolutionTuple,
-    _iter_reps,
-    _plan,
-    _to_solutions,
-    iter_canonical_solutions,  # noqa: F401  unused here; perfbench/tracer.py wraps it
+    iter_canonical_solutions,
 )
 from .solver import Coloring
 
@@ -128,10 +126,13 @@ def verify(cert: Certificate) -> Verdict:
     filtered to one color before they are paired, in the order of the
     full scan; the first one is the violation reported.
 
-    Never raises: malformed certificates (n, r or a color that is no
-    int, a bool included) yield a malformed verdict, and a rejected one
-    reports a concrete violating solution.
+    Never raises: malformed certificates (an equation that is no str; n,
+    r or a color that is no int, a bool included; colors with no length)
+    yield a malformed verdict, and a rejected one reports a concrete
+    violating solution.
     """
+    if not isinstance(cert.equation, str):
+        return Verdict(MALFORMED, reason=f"equation must be a str, got {cert.equation!r}")
     try:
         eq = parse_equation(cert.equation)
     except EquationError as exc:
@@ -143,6 +144,8 @@ def verify(cert: Certificate) -> Verdict:
         return Verdict(MALFORMED, reason=f"negative n {cert.n}")
     if cert.r < 1:
         return Verdict(MALFORMED, reason=f"r must be >= 1, got {cert.r}")
+    if not hasattr(cert.colors, "__len__"):
+        return Verdict(MALFORMED, reason="colors must be a sequence")
     if len(cert.colors) != cert.n:
         return Verdict(
             MALFORMED,
@@ -156,13 +159,12 @@ def verify(cert: Certificate) -> Verdict:
     if cert.n == 0:
         return Verdict(VALID)
     try:
-        rep = next(_iter_reps(eq, cert.n, color=(0, *cert.colors)), None)
+        violation = next(iter_canonical_solutions(eq, cert.n, color=(0, *cert.colors)), None)
     except (SolutionCapError, OverflowGuardError) as exc:
         return Verdict(MALFORMED, reason=f"cannot enumerate [1, {cert.n}]: {exc}")
-    if rep is None:
+    if violation is None:
         return Verdict(VALID)
-    # the one SolutionTuple built: the violation reported
-    return Verdict(INVALID, violation=next(_to_solutions(*_plan(eq), [rep])))
+    return Verdict(INVALID, violation=violation)
 
 
 def verify_text(text: str) -> Verdict:

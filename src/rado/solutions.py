@@ -15,11 +15,8 @@ side has only a few totals.
 When the materialized side has at most EXACT_PROBE_TOTALS totals, the
 streamed side's last slot, or its last two, are solved for each total
 by the slot before them, with one plain call per value (solve).  A pair
-is found by walking in from both ends of the power table; the walk is
-charged first, and skipped where the total is no residue the pair can
-take mod PAIR_MODULI, unless the reachability table below vouches for a
-pair.  compute_rado on x^2+y^2+z^2=u^2+w^2, one n at a time, skips 13 of
-its 21 walks.
+is found by walking in from both ends of the power table, charged
+before the walk starts.
 
 The streamed side's innermost slot scans its values up to one bound,
 found by bisecting the power table, and probes each sum against the
@@ -48,10 +45,10 @@ their order stay the same, but a pruned subtree is never entered and so
 never charged: the clock is read less often than without them.
 
 A window (low, n] enumerates only the solutions whose largest
-constrained value is past low (_scans); closing, the window (n-1, n],
-pins that value at n.  With the floor in the table and the least probe
-total, Theorem 1's six windows up to 84 charge 6,827 nodes, against
-16,085 for one scan of [1, 84].
+constrained value is past low (_scans); the window (n-1, n] pins that
+value at n.  With the floor in the table and the least probe total,
+Theorem 1's six windows up to 84 charge 6,827 nodes, against 16,085 for
+one scan of [1, 84].
 
 A distinct: equation scans each constrained group strictly increasing,
 and _iter_reps drops each representative with a value repeated across
@@ -91,10 +88,6 @@ CLOCK_CHECK_NODES = 4096
 # a streamed side's last slot is solved per total, not scanned, when the
 # materialized side has at most this many totals
 EXACT_PROBE_TOTALS = 4
-# a solved pair of slots is walked only where its total is a residue the
-# pair's power sums take mod each of these; two squares miss 7 of the 16
-# residues, 2 of 9, 6 of 49 and 10 of 121
-PAIR_MODULI = (16, 9, 49, 121)
 # the streamed side's innermost slot is sieved by residues of totals mod these
 SIEVE_MODULI = (16, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 # the streamed side's last group is pruned by a reachability table only
@@ -332,22 +325,16 @@ def _solve_last(coef, degree, remaining, lo):
     return v
 
 
-def _solve_pair(pw, coef, degree, remaining, lo, bound, budget, residues, floor=0):
+def _solve_pair(pw, coef, degree, remaining, lo, bound, budget, floor=0):
     """Every (v, w) with lo <= v <= w <= bound, floor <= w and pw[v] + pw[w]
     equal to remaining, walking in from both ends of the increasing table pw.
-
-    The walk is charged before it starts, and skipped where remaining is
-    no residue coef * (v**degree + w**degree) takes mod some modulus of
-    residues (_pair_residues): for squares, about two totals in three."""
+    The walk is charged before it starts."""
     pairs = []
     if lo > bound or remaining <= pw[lo]:
         return pairs
     v = lo
     w = min(bound, _floor_root((remaining - pw[lo]) // coef, degree))
     budget.spend(max(w - v, 0) + 1)
-    for q, allowed in residues:
-        if not allowed[remaining % q]:
-            return pairs
     # w only falls, so the walk ends where it drops below the floor
     while v <= w and w >= floor:
         total = pw[v] + pw[w]
@@ -360,21 +347,6 @@ def _solve_pair(pw, coef, degree, remaining, lo, bound, budget, residues, floor=
             v += 1
             w -= 1
     return pairs
-
-
-@lru_cache(maxsize=64)
-def _pair_residues(coef, degree, moduli) -> tuple[tuple[int, bytes], ...]:
-    """(q, allowed) per modulus q of moduli: allowed[r] is 1 iff
-    coef * (v**degree + w**degree) is r mod q for some v, w.  A modulus
-    that allows every residue is left out: for degree 1, each one coef is
-    prime to."""
-    kept = []
-    for q in moduli:
-        powers = {coef * a**degree % q for a in range(q)}
-        sums = {(a + b) % q for a in powers for b in powers}
-        if len(sums) < q:
-            kept.append((q, bytes(r in sums for r in range(q))))
-    return tuple(kept)
 
 
 @lru_cache(maxsize=64)
@@ -496,7 +468,7 @@ def _iter_side(groups, scan, tail_min, cap, probe, budget, strict=False):
     """
     glast = len(groups) - 1
     totals = sieve = rows = solved = None
-    residues, want, least = (), 0, 0
+    want = least = 0
     if probe is not None:
         g = groups[glast]
         pw = scan.powers[g.coefficient]
@@ -530,11 +502,6 @@ def _iter_side(groups, scan, tail_min, cap, probe, budget, strict=False):
             rows = _reach_rows(pw, bound, most - looped + 1, most, max(probe) - pinned,
                                0 if pin else floor)
             want = sum(1 << t for t in probe) >> pinned
-        elif totals is not None:
-            # the table lets a solved pair's slot before it enter only
-            # values from which a pair reaches some total; without it, a
-            # pair walk is skipped where no residue allows it
-            residues = _pair_residues(g.coefficient, scan.degree, PAIR_MODULI)
 
     if totals is not None:
         # few totals: the last group's slots from solved on are solved for
@@ -555,7 +522,7 @@ def _iter_side(groups, scan, tail_min, cap, probe, budget, strict=False):
                         found.append((t, (v,)))
                 else:
                     for pair in _solve_pair(pw, coef, degree, t - part, lo, bound, budget,
-                                            residues, floor):
+                                            floor):
                         found.append((t, pair))
             budget.spend(len(totals) + 1)
             return found
@@ -650,12 +617,10 @@ def _side_color(groups, color):
     return mono
 
 
-def _iter_reps(eq: Equation, n: int, closing: bool = False,
-               deadline: float | None = None, low: int | None = None,
-               color: tuple[int, ...] | None = None):
+def _iter_reps(eq: Equation, n: int, low: int | None = None,
+               deadline: float | None = None, color: tuple[int, ...] | None = None):
     """Yield every canonical solution representative within [1, n]; with
-    low, only those whose largest constrained value is in (low, n], and
-    with closing, only those whose largest is n (low = n-1); on a
+    low, only those whose largest constrained value is in (low, n]; on a
     distinct: equation, only those whose constrained values are pairwise
     distinct: each constrained group is scanned strictly increasing, and
     a repeat across groups is filtered at the yield.  With color, a
@@ -666,8 +631,9 @@ def _iter_reps(eq: Equation, n: int, closing: bool = False,
     pass materializes the side with fewer estimated assignments into a
     total -> values table and streams the other side against it.  A pass
     where either side's least total is past cap yields nothing and is
-    skipped before anything is built: in a closing scan of x1^2+...+xk^2
-    = z^2, the pass that pins the lhs at n starts at n^2 + k - 1.
+    skipped before anything is built: in the window (n-1, n] of
+    x1^2+...+xk^2 = z^2, the pass that pins the lhs at n starts at
+    n^2 + k - 1.
 
     With color, each side is filtered to one color before the join: one
     table per color keeps, per total, that color's monochromatic
@@ -688,7 +654,7 @@ def _iter_reps(eq: Equation, n: int, closing: bool = False,
         values, width = plan.values, len(eq.constrained_variables)
     budget = _Budget(deadline)
     cap = plan.cap(n)
-    for scan in _scans(plan, n, n - 1 if closing else low, cap):
+    for scan in _scans(plan, n, low, cap):
         lhs_tail, rhs_tail = _tail_min(lhs, scan), _tail_min(rhs, scan)
         if lhs_tail[0] > cap or rhs_tail[0] > cap:
             continue
@@ -816,13 +782,14 @@ def _to_solutions(lhs, rhs, reps):
                             dict(zip(free_names, free_values(rep))))
 
 
-def iter_canonical_solutions(eq: Equation, n: int):
+def iter_canonical_solutions(eq: Equation, n: int, color: tuple[int, ...] | None = None):
     """One SolutionTuple per canonical representative (group-sorted values).
 
     Permutations of values across interchangeable variables are collapsed;
-    use enumerate_solutions for the full ordered listing.
+    use enumerate_solutions for the full ordered listing.  With color, a
+    sequence indexed by value, only the monochromatic ones (_iter_reps).
     """
-    return _to_solutions(*_plan(eq), _iter_reps(eq, n))
+    return _to_solutions(*_plan(eq), _iter_reps(eq, n, color=color))
 
 
 def enumerate_solutions(eq: Equation, n: int) -> list[SolutionTuple]:
@@ -877,7 +844,6 @@ def build_hyperedges(
     eq: Equation,
     n: int,
     rep_cap: int | None = None,
-    closing: bool = False,
     deadline: float | None = None,
     low: int | None = None,
 ) -> EdgeSet:
@@ -887,14 +853,12 @@ def build_hyperedges(
 
     With low, the window (low, n]: only the edges whose largest value is
     in it, and closing_reps counts the representatives of each largest
-    value.  closing=True is the window (n-1, n]: the edges whose largest
-    value is n.  Concatenating the windows of a split of [1, n] gives the
+    value; low = n-1 gives the edges whose largest value is n.
+    Concatenating the windows of a split of [1, n] gives the
     edges of [1, n] in order.  Past rep_cap representatives the scan
     raises EnumerationBudgetExceeded, past a time.monotonic() deadline
     EnumerationTimeout.
     """
-    if closing:
-        low = n - 1
     values = _plan(eq).values
     reps = _iter_reps(eq, n, deadline=deadline, low=low)
     if rep_cap is not None:
@@ -934,7 +898,7 @@ def dp_feasible(eq: Equation, class_values, pivot: int) -> bool:
     the dp search's masks (_dp_sides), then pivot is asked for in one slot
     of some constrained group.  A distinct: equation looks instead for an
     edge within the class among those closing at pivot, from one scan
-    (build_hyperedges with closing=True).
+    (build_hyperedges with low = pivot-1).
     """
     values = sorted(set(class_values))
     if not values or values[0] < 1:
@@ -947,7 +911,7 @@ def dp_feasible(eq: Equation, class_values, pivot: int) -> bool:
 
     if eq.distinct_required:
         cls = set(values)
-        return any(cls.issuperset(e) for e in build_hyperedges(eq, pivot, closing=True).edges)
+        return any(cls.issuperset(e) for e in build_hyperedges(eq, pivot, low=pivot - 1).edges)
 
     masks, groups, sides, capmask = _dp_sides(eq, pivot)
     for v in values:

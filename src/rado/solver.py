@@ -237,10 +237,10 @@ def _rep_cap(n, auto, slots) -> int:
     return min(AUTO_EDGE_CAP, n * n // slots) if auto else EDGE_BACKEND_CAP
 
 
-def _edges(eq, n, backend, deadline, closing=False, have=0, low=None):
+def _edges(eq, n, backend, deadline, have=0, low=None):
     """The EdgeSet of [1, n] (with low, of the window of edges whose
-    largest value is in (low, n], given have representatives of [1, low];
-    closing is the window (n-1, n]), or None for dp.
+    largest value is in (low, n], given have representatives of [1, low]),
+    or None for dp.
 
     One rule on representatives of [1, n]: auto moves to dp past
     min(AUTO_EDGE_CAP, n*n // slots) of them, slots the constrained
@@ -253,8 +253,6 @@ def _edges(eq, n, backend, deadline, closing=False, have=0, low=None):
     passes while enumerating."""
     if backend == "dp":
         return None
-    if closing:
-        low = n - 1
     auto = backend == "auto" and not eq.distinct_required
     slots = _slots(eq)
     cap = _rep_cap(n, auto, slots)

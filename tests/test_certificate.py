@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rado import solutions
 from rado.certificate import (
     INVALID,
     MALFORMED,
@@ -188,10 +189,32 @@ def test_malformed_certificates():
     (2, 2, ("a", 1)),
     (2, 2, (1.0, 2)),
     (2, 2, (True, 2)),
+    (2, 2, None),
+    (2, 2, iter((1, 1))),
 ])
 def test_verify_non_int_fields_are_malformed(n, r, colors):
-    # verify never raises: a field that is no int (a bool is none) is malformed
+    # verify never raises: a field that is no int (a bool is none), or
+    # colors with no length, is malformed
     assert verify(Certificate("x+y=z", n, r, colors)).status == MALFORMED
+
+
+def test_verify_equation_not_str_is_malformed():
+    assert verify(Certificate(123, 2, 2, (1, 1))).status == MALFORMED
+
+
+def test_verify_colored_pass_keeping_no_entry_streams_nothing(monkeypatch):
+    # under colors 1 2 3 no two distinct values in [1, 3] share a color:
+    # the materialized side keeps no entry, so its pass ends before the
+    # stream, and the certificate is valid
+    scan, probes = solutions._iter_side, []
+
+    def spied(*args):
+        probes.append(args[4])     # None: the materialized side
+        return scan(*args)
+
+    monkeypatch.setattr(solutions, "_iter_side", spied)
+    assert verify(Certificate("distinct: x+y=z+w", 3, 3, (1, 2, 3))).status == VALID
+    assert probes == [None]
 
 
 def test_verify_past_enumeration_cap_is_malformed(monkeypatch):

@@ -173,7 +173,7 @@ def test_completeness_random_equations():
 def closing_prefix(eq, n):
     """The closing-at-m edge sets for m = 1..n, concatenated."""
     return tuple(
-        e for m in range(1, n + 1) for e in build_hyperedges(eq, m, closing=True).edges
+        e for m in range(1, n + 1) for e in build_hyperedges(eq, m, low=m - 1).edges
     )
 
 
@@ -191,7 +191,7 @@ def test_closing_edges_concatenate_to_one_shot():
         (parse_equation("x^2+y^2+z^2=w^2", distinct=True), 30),
     ]
     for eq, top in cases:
-        closing = [build_hyperedges(eq, m, closing=True).edges for m in range(1, top + 1)]
+        closing = [build_hyperedges(eq, m, low=m - 1).edges for m in range(1, top + 1)]
         for m, edges in enumerate(closing, start=1):
             assert all(e[-1] == m for e in edges), (eq.render(), m)
         for n in range(1, top + 1):
@@ -282,7 +282,7 @@ def test_windows_concatenate_to_closing_scans(text, distinct, top):
     # there does a side have few totals against a floored slot, which the
     # few-totals paths then solve
     eq = parse_equation(text, distinct=distinct)
-    closing = [build_hyperedges(eq, m, closing=True) for m in range(1, top + 1)]
+    closing = [build_hyperedges(eq, m, low=m - 1) for m in range(1, top + 1)]
     for m, es in enumerate(closing, start=1):
         assert all(e[-1] == m for e in es.edges), (text, m)
     rng = random.Random(f"{text}:{distinct}:{top}")
@@ -345,11 +345,10 @@ def plain_pair_walk(pw, coef, degree, remaining, lo, bound):
 def test_solve_pair_is_the_plain_walk(monkeypatch):
     # the pairs, their order and the charge of the plain two-pointer walk,
     # and the pairs a scan over v finds, over random coefficients of
-    # degree 1 and 2, bounds below and above the largest modulus, totals
-    # the residues exclude and totals some pair reaches
+    # degree 1 and 2, and totals some pair reaches or none does
     rng = random.Random(28)
     total = charged(monkeypatch)
-    excluded = representable = 0
+    representable = 0
     for _ in range(1500):
         coef, degree = rng.randint(1, 30), rng.choice((1, 2))
         bound = rng.choice((rng.randint(1, 120), rng.randint(121, 400)))
@@ -360,32 +359,13 @@ def test_solve_pair_is_the_plain_walk(monkeypatch):
         index = {p: w for w, p in enumerate(pw)}
         scanned = [(v, index[remaining - pw[v]]) for v in range(lo, bound + 1)
                    if index.get(remaining - pw[v], -1) >= v]
-        residues = solutions._pair_residues(coef, degree, solutions.PAIR_MODULI)
         before = total[0]
         pairs = solutions._solve_pair(pw, coef, degree, remaining, lo, bound,
-                                      solutions._Budget(), residues)
+                                      solutions._Budget())
         assert (pairs, total[0] - before) == plain_pair_walk(pw, coef, degree, remaining, lo, bound)
         assert pairs == scanned
-        excluded += any(not allowed[remaining % q] for q, allowed in residues)
         representable += bool(pairs)
-    assert excluded > 300 and representable > 300
-    # two squares miss 7 residues mod 16, 2 mod 9, 6 mod 49 and 10 mod 121;
-    # 5(v + w) takes every residue, 3(v + w) only 3 mod 9
-    moduli = (16, 9, 49, 121)
-    assert [(q, sum(allowed)) for q, allowed in solutions._pair_residues(1, 2, moduli)
-            ] == [(16, 9), (9, 7), (49, 43), (121, 111)]
-    assert solutions._pair_residues(5, 1, moduli) == ()
-    assert solutions._pair_residues(3, 1, moduli) == ((9, bytes([1, 0, 0] * 3)),)
-
-
-@pytest.mark.parametrize("moduli", ((4, 3), ()), ids=("small", "none"))
-def test_pair_residues_other_moduli(monkeypatch, moduli):
-    # the residue check skips only pair walks that find nothing: with
-    # moduli that filter less, or with none, the oracles agree
-    monkeypatch.setattr("rado.solutions.PAIR_MODULI", moduli)
-    test_completeness_random_equations()
-    test_closing_edges_concatenate_to_one_shot()
-    test_reach_table_shifted_past_a_pinned_slot()
+    assert representable > 300
 
 
 @pytest.mark.parametrize("table_cap, charge", [(REACH_TABLE_CAP, 1429), (-1, 6477)])
@@ -394,7 +374,7 @@ def test_reach_table_spares_the_budget(monkeypatch, table_cap, charge):
     # closing scan at n=15 costs 1,429 nodes with the table, 6,477 without
     monkeypatch.setattr("rado.solutions.REACH_TABLE_CAP", table_cap)
     total = charged(monkeypatch)
-    assert len(build_hyperedges(family_equation(9), 15, closing=True)) == 140
+    assert len(build_hyperedges(family_equation(9), 15, low=14)) == 140
     assert total[0] == charge
 
 
@@ -451,7 +431,7 @@ def test_iter_reps_stream_is_pinned(monkeypatch, text, n, closing, reps, charge,
     # pin the stream itself, its length and its charge to the clock
     eq = family_equation(text) if isinstance(text, int) else parse_equation(text)
     total = charged(monkeypatch)
-    stream = list(solutions._iter_reps(eq, n, closing))
+    stream = list(solutions._iter_reps(eq, n, low=n - 1 if closing else None))
     assert (len(stream), total[0]) == (reps, charge)
     assert hashlib.sha256(repr(stream).encode()).hexdigest() == digest
 
@@ -477,7 +457,7 @@ def test_grown_power_tables_change_no_scan(monkeypatch):
 
     def scan(eq, n, closing):
         total[0] = 0
-        stream = list(solutions._iter_reps(eq, n, closing))
+        stream = list(solutions._iter_reps(eq, n, low=n - 1 if closing else None))
         return stream, total[0]
 
     # the dp masks, weight lists and free seeds read the same tables
@@ -701,8 +681,9 @@ def test_distinct_filters_the_plain_representatives(text, n, closing):
         return len(set(vals)) == len(vals) == len(plain.constrained_variables)
 
     for m in range(1, n + 1):
-        kept = [rep for rep in solutions._iter_reps(plain, m, closing) if pairwise_distinct(rep)]
-        assert list(solutions._iter_reps(distinct, m, closing)) == kept, (text, m)
+        low = m - 1 if closing else None
+        kept = [rep for rep in solutions._iter_reps(plain, m, low=low) if pairwise_distinct(rep)]
+        assert list(solutions._iter_reps(distinct, m, low=low)) == kept, (text, m)
 
 
 @pytest.mark.parametrize("text, n, closing, plain_charge, distinct_charge", [
@@ -720,11 +701,11 @@ def test_distinct_scans_constrained_groups_strictly_increasing(
     values = solutions._constrained(*solutions._plan(plain))
     width = len(plain.constrained_variables)
     total = charged(monkeypatch)
-    kept = [rep for rep in solutions._iter_reps(plain, n, closing)
+    kept = [rep for rep in solutions._iter_reps(plain, n, low=n - 1 if closing else None)
             if len(set(values(rep))) == width]
     assert total[0] == plain_charge
     total[0] = 0
-    assert list(solutions._iter_reps(distinct, n, closing)) == kept
+    assert list(solutions._iter_reps(distinct, n, low=n - 1 if closing else None)) == kept
     assert total[0] == distinct_charge
 
 

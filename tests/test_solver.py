@@ -449,6 +449,23 @@ def test_rado_deadline_checked_before_the_cold_search(monkeypatch):
     assert max(b.n for b in out.bounds) == n - 1
     assert_valid(SCHUR, out.witness)
 
+    # and where the walk gives up as the deadline passes: no cold search
+    walked = []
+
+    def late_walk(colors, n, *args):
+        walked.append(n)
+        clock.now = 1000.0
+        return None, 7
+
+    clock.now = 0.0
+    monkeypatch.setattr(solver, "_try_extend", extend)
+    monkeypatch.setattr(solver, "_walk", late_walk)
+    out = compute_rado(SCHUR, 2, SearchParams(time_budget=100))
+    [n] = walked
+    assert (out.kind, out.value, out.witness.n) == (LOWER_BOUND, n - 1, n - 1)
+    assert max(b.n for b in out.bounds) == n - 1
+    assert_valid(SCHUR, out.witness)
+
 
 @pytest.mark.parametrize("backend", ["edge", "auto"])
 def test_find_coloring_deadline_covers_enumeration(monkeypatch, backend):
@@ -863,8 +880,8 @@ def test_auto_takes_dp_past_n_squared_over_slots(caplog):
     assert solver._edges(eq, 5, "auto", math.inf) is None
     # a closing scan counts the representatives below n in: 9 below 6
     # leave room for exactly the 3 that close at 6
-    assert solver._edges(eq, 6, "auto", math.inf, closing=True, have=9).reps == 3
-    assert solver._edges(eq, 6, "auto", math.inf, closing=True, have=10) is None
+    assert solver._edges(eq, 6, "auto", math.inf, have=9, low=5).reps == 3
+    assert solver._edges(eq, 6, "auto", math.inf, have=10, low=5) is None
     assert caplog.messages == [
         "n=5: 9 representatives × 3 slots > 5², dp",
         "n=6: at least 13 representatives × 3 slots > 6², dp",
