@@ -8,15 +8,7 @@ materialized into a total -> representatives map and the other side is
 streamed against it, which keeps the scan linear in the side product
 instead of the full tuple space.  Both sides go through one recursion.
 A free variable is scanned like any other, but bounded by the largest
-total of the side without free variables instead of by n; like any
-streamed slot, it is solved rather than scanned when the materialized
-side has only a few totals.
-
-When the materialized side has at most EXACT_PROBE_TOTALS totals, the
-streamed side's last slot, or its last two, are solved for each total
-by the slot before them, with one plain call per value (solve).  A pair
-is found by walking in from both ends of the power table, charged
-before the walk starts.
+total of the side without free variables instead of by n.
 
 The streamed side's innermost slot scans its values up to one bound,
 found by bisecting the power table, and probes each sum against the
@@ -47,7 +39,7 @@ never charged: the clock is read less often than without them.
 A window (low, n] enumerates only the solutions whose largest
 constrained value is past low (_scans); the window (n-1, n] pins that
 value at n.  With the floor in the table and the least probe total,
-Theorem 1's six windows up to 84 charge 6,827 nodes, against 16,085 for
+Theorem 1's six windows up to 84 charge 6,822 nodes, against 16,085 for
 one scan of [1, 84].
 
 A distinct: equation scans each constrained group strictly increasing,
@@ -85,9 +77,6 @@ OVERFLOW_LIMIT = 2**62
 MAX_SOLUTIONS = 1_000_000
 MATERIALIZE_CAP = 5_000_000
 CLOCK_CHECK_NODES = 4096
-# a streamed side's last slot is solved per total, not scanned, when the
-# materialized side has at most this many totals
-EXACT_PROBE_TOTALS = 4
 # the streamed side's innermost slot is sieved by residues of totals mod these
 SIEVE_MODULI = (16, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 # the streamed side's last group is pruned by a reachability table only
@@ -314,41 +303,6 @@ def _floor_root(x, degree):
     return isqrt(x) if degree == 2 else x
 
 
-def _solve_last(coef, degree, remaining, lo):
-    """The value v >= lo with coef * v**degree == remaining, or None."""
-    if remaining < coef or remaining % coef:
-        return None
-    target = remaining // coef
-    v = _floor_root(target, degree)
-    if v < lo or v**degree != target:
-        return None
-    return v
-
-
-def _solve_pair(pw, coef, degree, remaining, lo, bound, budget, floor=0):
-    """Every (v, w) with lo <= v <= w <= bound, floor <= w and pw[v] + pw[w]
-    equal to remaining, walking in from both ends of the increasing table pw.
-    The walk is charged before it starts."""
-    pairs = []
-    if lo > bound or remaining <= pw[lo]:
-        return pairs
-    v = lo
-    w = min(bound, _floor_root((remaining - pw[lo]) // coef, degree))
-    budget.spend(max(w - v, 0) + 1)
-    # w only falls, so the walk ends where it drops below the floor
-    while v <= w and w >= floor:
-        total = pw[v] + pw[w]
-        if total < remaining:
-            v += 1
-        elif total > remaining:
-            w -= 1
-        else:
-            pairs.append((v, w))
-            v += 1
-            w -= 1
-    return pairs
-
-
 @lru_cache(maxsize=64)
 def _residue_classes(coef, degree) -> int:
     """How many residues mod 5040 the values coef * v**degree take."""
@@ -444,10 +398,10 @@ class _Budget:
 
 def _iter_side(groups, scan, tail_min, cap, probe, budget, strict=False):
     """Yield (total, values) for every canonical assignment of one side
-    whose total is at most cap and, given a probe table, one of its keys.
-    values is a tuple of per-group non-decreasing value tuples; with
-    strict, a constrained group's values are strictly increasing.
-    tail_min is _tail_min(groups, scan).
+    whose total is at most cap and, given a probe table (never empty), one
+    of its keys.  values is a tuple of per-group non-decreasing value
+    tuples; with strict, a constrained group's values are strictly
+    increasing.  tail_min is _tail_min(groups, scan).
 
     Each slot scans up from the slot before it (the pivot's last slot
     from its floor at least) to one bound: the last value that, in this
@@ -457,17 +411,14 @@ def _iter_side(groups, scan, tail_min, cap, probe, budget, strict=False):
     partial sum up to its least total; it takes its values from that
     range, or from the residue sieve's hits in it where the sieve pays,
     and tests each against the probe.  It is charged one more than the
-    range holds (1 without a probe).  When the probe holds only a few
-    totals the last slots are solved for each of them instead (solve),
-    called for each value of the slot before them.  Each call is charged
-    len(totals) + 1 besides its pair walks.  Where two or more of the
-    last group's slots loop, they skip each value from which the slots
+    range holds (1 without a probe).  Where two or more of the last
+    group's slots loop, they skip each value from which the slots
     left, the pivot's last one from its floor, cannot reach a probe total
     (_reach_rows), so a pruned subtree is never entered and never charged
     to the budget.
     """
     glast = len(groups) - 1
-    totals = sieve = rows = solved = None
+    sieve = rows = None
     want = least = 0
     if probe is not None:
         g = groups[glast]
@@ -475,10 +426,8 @@ def _iter_side(groups, scan, tail_min, cap, probe, budget, strict=False):
         bound = scan.bound[g]
         floor = scan.floor if g is scan.pivot else 0
         pin = 0 < floor == bound
-        least = min(probe, default=0)
-        if len(probe) <= EXACT_PROBE_TOTALS:
-            totals = sorted(probe)
-        elif not pin:
+        least = min(probe)
+        if not pin:
             # the sieve pays where the slot's residues and the probe totals
             # are both sparse against the values it can take: squares
             # (192 classes mod 5040) against n squares from n = 192, never
@@ -486,46 +435,21 @@ def _iter_side(groups, scan, tail_min, cap, probe, budget, strict=False):
             largest = bisect_right(pw, cap, 0, bound + 1) - 1
             if _residue_classes(g.coefficient, scan.degree) * len(probe) <= largest**2:
                 sieve = _residue_sieve(pw, g.coefficient, scan.degree, largest, probe)
-        # the last group's slots scanned in a loop: neither the innermost
-        # one nor solved for few totals.  With one, a pruned value saves a
-        # single solve or innermost scan, about what building the table
-        # costs; no loop runs if the side's least total is past every
-        # probe total
-        looped = g.size - 1 - (totals is not None and not pin)
+        # the table serves the last group's looped slots, all but the
+        # innermost one.  With one, a pruned value saves a single innermost
+        # scan, about what building the table costs; no loop runs if the
+        # side's least total is past every probe total
         if (
-            looped > 1 and probe and tail_min[0] <= max(probe)
+            g.size > 2 and tail_min[0] <= max(probe)
             and max(probe) * g.size * bound <= REACH_TABLE_CAP
         ):
-            # slot s leaves most - s free slots after its own
+            # slot s leaves most - s free slots after its own, the last
+            # looped one 1 - pin
             most = g.size - 1 - pin
             pinned = pw[bound] if pin else 0
-            rows = _reach_rows(pw, bound, most - looped + 1, most, max(probe) - pinned,
+            rows = _reach_rows(pw, bound, 1 - pin, most, max(probe) - pinned,
                                0 if pin else floor)
             want = sum(1 << t for t in probe) >> pinned
-
-    if totals is not None:
-        # few totals: the last group's slots from solved on are solved for
-        # each total, the last one alone, or the last two as a pair
-        coef, degree, top = g.coefficient, scan.degree, g.size - 1
-        solved = max(top - 1 + pin, 0)
-
-        def solve(lo, part):
-            """(total, tail) for every tail that fills the solved slots from
-            lo up and brings part to a probe total."""
-            found = []
-            for t in totals:
-                if solved == top:
-                    # a floored slot solved alone is pinned or a group's
-                    # only slot (lo = 1): its floor is its least value
-                    v = _solve_last(coef, degree, t - part, floor or lo)
-                    if v is not None and v <= bound:
-                        found.append((t, (v,)))
-                else:
-                    for pair in _solve_pair(pw, coef, degree, t - part, lo, bound, budget,
-                                            floor):
-                        found.append((t, pair))
-            budget.spend(len(totals) + 1)
-            return found
 
     def rec(gi, partial, acc):
         g = groups[gi]
@@ -567,8 +491,6 @@ def _iter_side(groups, scan, tail_min, cap, probe, budget, strict=False):
             # slots slot..top all hold >= v, and a pinned top holds bound
             mult = top - slot + 1 - pin
             limit = cap - later - (pw[bound] if pin else 0)
-            # the solved slots follow this one: no generator per value
-            solving = last and slot + 1 == solved
             # with reach rows, enter v only if the mult - 1 free slots
             # after it can bring part + pw[v] to a probe total
             row = rows[mult - 1] if last and rows is not None else None
@@ -576,20 +498,12 @@ def _iter_side(groups, scan, tail_min, cap, probe, budget, strict=False):
             v = lo
             while v <= bound and part + pw[v] * mult <= limit:
                 if row is None or (reach >> pw[v] * mult) & row[v]:
-                    if solving:
-                        for t, tail in solve(v + step, part + pw[v]):
-                            yield t, acc + ((*vals, v, *tail),)
-                    else:
-                        vals.append(v)
-                        yield from fill(slot + 1, v + step, part + pw[v], vals)
-                        vals.pop()
+                    vals.append(v)
+                    yield from fill(slot + 1, v + step, part + pw[v], vals)
+                    vals.pop()
                 v += 1
 
-        if last and solved == 0:
-            for t, tail in solve(1, partial):
-                yield t, acc + (tail,)
-        else:
-            yield from fill(0, 1, partial, [])
+        yield from fill(0, 1, partial, [])
 
     yield from rec(0, 0, ())
 
@@ -641,11 +555,8 @@ def _iter_reps(eq: Equation, n: int, low: int | None = None,
     and each streamed assignment is paired only with the entries of its
     own color.  A side with no constrained value goes with any color, so
     neither side is then keyed by its color.  The probe holds only the
-    totals that keep an entry, unless they are at most
-    EXACT_PROBE_TOTALS and all totals are more: the solved slots yield
-    per total, not in scan order, so there every total stays, some with
-    no entry.  A pass that keeps no entry is skipped before its
-    stream."""
+    totals that keep an entry.  A pass whose probe is empty is skipped
+    before its stream, with color or without."""
     check_overflow(eq, n)
     plan = _plan(eq)
     lhs, rhs = plan.lhs, plan.rhs
@@ -688,7 +599,6 @@ def _iter_reps(eq: Equation, n: int, low: int | None = None,
             # one table per key; key 0 (two colors) stays empty, so a
             # streamed assignment of two colors finds no entry
             tables = {c: {} for c in {0, 1, *color}}
-            dropped = set()
             for total, vals in _iter_side(mat_groups, scan, mat_tail, cap, None, budget,
                                           distinct):
                 count += 1
@@ -697,13 +607,9 @@ def _iter_reps(eq: Equation, n: int, low: int | None = None,
                 c = mat_color(vals)
                 if c:
                     tables[c].setdefault(total, []).append(vals)
-                else:
-                    dropped.add(total)
             probe = set().union(*tables.values())
-            if not probe:
-                continue
-            if len(probe) <= EXACT_PROBE_TOTALS < len(probe | dropped):
-                probe |= dropped
+        if not probe:
+            continue
         for total, svals in _iter_side(stream_groups, scan, stream_tail, cap, probe, budget,
                                        distinct):
             for mvals in (table[total] if color is None
