@@ -70,6 +70,18 @@ next, sized for values up to 2n (at most n_cap) since their capmask
 grows with n, and grows n into one class after another, the test assign
 makes.  It rebuilds them from the witness once n passes that size, when
 auto switches to dp, and after a cold search, during which none are kept.
+
+dp decides the lowest uncolored vertex, colors ascending, so its search
+returns the lex-least valid coloring.  compute_rado's witness is the
+lex-least valid coloring of [1, n-1] at the start, after a warm step
+(edge or dp: it takes the lowest color that extends) and after a dp cold
+search, but not after a walk or an edge cold search (fail-first order),
+until the next dp cold search.  While it is, it is the floor of the dp
+cold search at n (_floored): a coloring of [1, n] whose prefix sorts
+below it is already invalid on [1, n-1].  So while colors 1..v-1 equal
+the witness's, v takes no color below the witness's, and once they sort
+below it (a forced vertex can put them there), no color at all; a color
+skipped is not a node.
 """
 
 from __future__ import annotations
@@ -164,6 +176,7 @@ class BoundReport:
     propagations: int
     elapsed_ms: int
     flips: int = 0            # the walk's flips, on a bound it colored
+    max_depth: int = 0        # the cold search's deepest decision stack
 
 
 @dataclass
@@ -334,9 +347,11 @@ def _index(incident, edges, start, n):
     return incident
 
 
-def _search(eq, n, r, edges, incident, deadline) -> SearchOutcome:
+def _search(eq, n, r, edges, incident, deadline, floor=None) -> SearchOutcome:
     """Decide colorability of [1, n] on the edge backend, given its
-    incidence lists (_index), or on dp when edges is None."""
+    incidence lists (_index), or on dp when edges is None.  On dp a floor,
+    the lex-least valid coloring of [1, n-1] as a list, skips the
+    colorings that sort below it (_floored); edge ignores it."""
     stats = SearchStats()
     color = [0] * (n + 1)
     domain = [(1 << r) - 1] * (n + 1)     # viable colors, bit c-1
@@ -346,6 +361,8 @@ def _search(eq, n, r, edges, incident, deadline) -> SearchOutcome:
     else:
         backend = "dp"
         checks = _dp_checks(eq, n, r, color, domain)
+        if floor:
+            checks = (_floored(checks[0], color, floor), *checks[1:])
 
         def pick():       # the lowest uncolored vertex (color[0] stays 0)
             return color.index(0, 1) if color.count(0) > 1 else 0
@@ -439,6 +456,25 @@ def _undo(token, color, domain, unassign):
         color[u] = 0
     for w, dm in reversed(log):
         domain[w] = dm
+
+
+def _floored(candidates, color, floor):
+    """dp's candidates(v, limit) above floor, the lex-least valid coloring
+    of [1, n-1] (see the module docstring): while colors 1..v-1 equal the
+    floor's, none below its color at v, and none at all once they sort
+    below it."""
+
+    def floored(v, limit):
+        cands = candidates(v, limit)
+        prefix, low = color[1:v], floor[:v - 1]
+        if prefix != low:
+            return cands if prefix > low else []
+        if v > len(floor):
+            return cands
+        f = floor[v - 1]
+        return [c for c in cands if c >= f]
+
+    return floored
 
 
 def _viable(domain, r):
@@ -630,7 +666,10 @@ def compute_rado(
     block.  The incidence lists catch up before each walk or edge search;
     once on dp, auto stays there, and the warm step's per-class masks
     (_kept_masks) are kept across n, rebuilt from the witness past their
-    size, on the switch to dp and after a cold search.
+    size, on the switch to dp and after a cold search.  A dp cold search
+    skips the colorings that sort below the witness (its floor) while the
+    witness is the lex-least valid coloring: from the start, and after a
+    walk or an edge cold search only once a dp cold search has run.
     """
     params = params or SearchParams()
     _validate(1, r, eq, params.backend)
@@ -643,6 +682,7 @@ def compute_rado(
     indexed = 0
     colors: list[int] = []                # the witness: colors[v-1] is v's color
     kept = None                           # the dp warm step's masks (_try_extend)
+    least = True                          # colors is the lex-least valid coloring
     cold_nodes = 0                        # the nodes of the last cold bound
     n = 0
     while n < params.n_cap and time.monotonic() <= deadline:
@@ -684,6 +724,7 @@ def compute_rado(
                                   max(WALK_MIN_FLIPS, cold_nodes), deadline)
             if walked is not None:
                 colors = walked
+                least = False
                 bounds.append(BoundReport(
                     n, COLORABLE, "edge", True, 0, 0,
                     int((time.monotonic() - t0) * 1000), flips,
@@ -692,19 +733,20 @@ def compute_rado(
             if time.monotonic() > deadline:
                 break
         kept = None                       # rebuilt from the new witness
-        outcome = _search(eq, n, r, edges, incident, deadline)
-        outcome.stats.elapsed_ms = int((time.monotonic() - t0) * 1000)
+        outcome = _search(eq, n, r, edges, incident, deadline, colors if least else None)
+        stats = outcome.stats
+        stats.elapsed_ms = int((time.monotonic() - t0) * 1000)
         bounds.append(BoundReport(
-            n, outcome.verdict, outcome.backend, False,
-            outcome.stats.nodes, outcome.stats.propagations,
-            outcome.stats.elapsed_ms,
+            n, outcome.verdict, outcome.backend, False, stats.nodes,
+            stats.propagations, stats.elapsed_ms, max_depth=stats.max_depth,
         ))
         if outcome.verdict == UNCOLORABLE:
             return _outcome(EXACT, n, colors, r, bounds)
         if outcome.verdict != COLORABLE:
             break
         colors = list(outcome.coloring.colors)
-        cold_nodes = outcome.stats.nodes
+        least = outcome.backend == "dp"   # edge decides fail-first, not in lex order
+        cold_nodes = stats.nodes
     return _outcome(LOWER_BOUND, len(colors), colors, r, bounds)
 
 

@@ -1154,3 +1154,93 @@ def test_symmetry_breaking_soundness(backend):
         for r in (2, 3):
             got = find_coloring(fam, n, r, SearchParams(backend=backend))
             assert (got.verdict == COLORABLE) == oracle_colorable(fam, n, r), (n, r)
+
+
+def spy_floors(monkeypatch):
+    """(n, backend, floor, coloring) for each of compute_rado's cold searches."""
+    search, calls = solver._search, []
+
+    def spied(eq, n, r, edges, incident, deadline, floor=None):
+        out = search(eq, n, r, edges, incident, deadline, floor)
+        calls.append((n, out.backend, floor and list(floor), out.coloring))
+        return out
+
+    monkeypatch.setattr(solver, "_search", spied)
+    return calls
+
+
+@pytest.mark.parametrize("cap, n_cap, kind, value, cold", [
+    (30, 45, LOWER_BOUND, 45, [(33, "dp"), (43, "dp"), (45, "dp")]),
+    (200, 63, LOWER_BOUND, 63, [(57, "edge"), (59, "dp"), (61, "dp"), (63, "dp")]),
+    (300, 10_000, EXACT, 105, [(57, "edge"), (81, "dp"), (82, "dp"), (85, "dp")]),
+])
+def test_dp_floor_only_from_a_lex_least_witness(monkeypatch, cap, n_cap, kind, value, cold):
+    # the floor is sound only while the witness is the lex-least valid
+    # coloring of [1, n-1]: a walk or an edge search (fail-first) leaves one
+    # that is not, so auto's first dp cold bound after walks alone (cap 30),
+    # after an edge search (200) or after both (300) searches from below,
+    # and each later one starts at the last dp witness, warm-extended
+    monkeypatch.setattr(solver, "AUTO_EDGE_CAP", cap)
+    calls = spy_floors(monkeypatch)
+    out = compute_rado(family_equation(3), 2, SearchParams(n_cap=n_cap))
+    assert (out.kind, out.value) == (kind, value)
+    assert any(b.flips for b in out.bounds)
+    assert [(n, backend) for n, backend, _, _ in calls[:len(cold)]] == cold
+    dp = [call for call in calls if call[1] == "dp"]
+    assert dp[0][2] is None
+    last = dp[0][3].colors
+    for n, _, floor, coloring in dp[1:]:
+        assert len(floor) == n - 1 and tuple(floor[:len(last)]) == last, n
+        last = coloring.colors if coloring else ()
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(text=small_equations(), r=st.sampled_from((2, 3)), cap=st.sampled_from((0, 1, 2, 4, 8)))
+@example(text="v0+v1=v2", r=3, cap=0)
+@example(text="v0+v1=v2", r=3, cap=2)
+def test_floored_compute_rado_matches_oracle(text, r, cap):
+    # dp cold bounds start at the last witness: on dp from n=1 (cap 0), and
+    # on auto with AUTO_EDGE_CAP lowered so that it switches from edge,
+    # whose witnesses take no floor
+    eq = parse_equation(text)
+    n_cap = 12 if r == 2 else 8               # r**n_cap colorings for the oracle
+    with pytest.MonkeyPatch.context() as mp:
+        if cap:
+            mp.setattr(solver, "AUTO_EDGE_CAP", cap)
+        out = compute_rado(eq, r, SearchParams(backend="auto" if cap else "dp", n_cap=n_cap))
+    value = out.value
+    assert oracle_colorable(eq, value, r) == (out.kind == LOWER_BOUND)
+    if value > 1:
+        assert oracle_colorable(eq, value - 1, r)
+    assert out.witness.n == (value - 1 if out.kind == EXACT else value)
+    cert = Certificate.from_coloring(eq.render(), out.witness)
+    assert verify(cert).status == VALID
+
+
+def test_five_squares_cold_bounds_are_pinned():
+    # 5 = 2 squares, r=3, on dp from n=2: each cold bound after the first
+    # starts at the last witness (2,676 nodes without the floor)
+    eq = parse_equation("x1^2+x2^2+x3^2+x4^2+x5^2=y1^2+y2^2")
+    out = compute_rado(eq, 3)
+    assert (out.kind, out.value, out.witness.colors) == (EXACT, 31, (
+        1, 2, 1, 3, 3, 2, 1, 1, 3, 2, 3, 3, 1, 2, 1,
+        3, 2, 2, 2, 1, 2, 2, 2, 1, 2, 3, 1, 1, 2, 3))
+    assert [(b.n, b.backend, b.nodes, b.max_depth) for b in out.bounds if not b.warm] == [
+        (14, "dp", 8, 8), (18, "dp", 8, 8), (20, "dp", 15, 13), (22, "dp", 41, 17),
+        (25, "dp", 73, 15), (27, "dp", 24, 13), (28, "dp", 524, 15), (31, "dp", 1254, 14)]
+    assert sum(b.nodes for b in out.bounds) == 1947
+    assert all(b.max_depth == 0 for b in out.bounds if b.warm)
+
+
+@pytest.mark.slow
+def test_theorem_2_cold_bounds_are_pinned():
+    # RR_3(4 squares = 3 squares) = 32, all on dp: 110,769 cold nodes when
+    # each bound searched from the least coloring, 55,784 from the floor
+    eq = parse_equation("x1^2+x2^2+x3^2+x4^2=y1^2+y2^2+y3^2")
+    out = compute_rado(eq, 3)
+    assert (out.kind, out.value, out.witness.colors) == (EXACT, 32, (
+        1, 2, 2, 3, 1, 2, 1, 1, 3, 2, 1, 2, 1, 3, 2, 3,
+        1, 1, 1, 3, 2, 3, 1, 2, 2, 3, 3, 3, 1, 1, 1))
+    assert [(b.n, b.backend, b.nodes) for b in out.bounds if not b.warm] == [
+        (27, "dp", 22), (30, "dp", 20_809), (31, "dp", 13_559), (32, "dp", 21_394)]
+    assert sum(b.nodes for b in out.bounds) == 55_784
